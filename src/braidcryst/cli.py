@@ -177,7 +177,7 @@ def _cmd_holonomy(args) -> None:
     M = holonomy_matrix(p)
     _emit(
         args,
-        {"matrix": M.tolist(), "det": holonomy_det(p)},
+        {"matrix": M, "det": holonomy_det(p)},
         f"{format_matrix(M)}\ndet: {holonomy_det(p)}",
     )
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .braidword import BraidWord, PairVector, pair_index, pairs
 from .conjugacy import conjugator_to_standard
 from .permutation import Permutation
@@ -35,7 +33,7 @@ from .quotient import (
     power,
     pure,
 )
-from .zlinalg import lattices_equal, solve_integer
+from .zlinalg import lattices_equal, mat_vec, solve_integer
 
 N_STRANDS = 7
 
@@ -164,7 +162,7 @@ class SolutionFamily:
         return True
 
 
-def _system() -> tuple[np.ndarray, list[int]]:
+def _system() -> tuple[list[list[int]], list[int]]:
     """24 rows: one conjugation equation per pair, one sum per y-orbit."""
     x, y = build_xy()
     d = defect(x, y)
@@ -186,7 +184,7 @@ def _system() -> tuple[np.ndarray, list[int]]:
             row[pair_index(N_STRANDS, *p)] = 1
         rows.append(row)
         rhs.append(0)
-    return np.array(rows, dtype=object), rhs
+    return rows, rhs
 
 
 @lru_cache(maxsize=1)
@@ -204,10 +202,10 @@ def solve_family() -> SolutionFamily:
     if len(kernel) != 6:
         raise InconsistentSystem(f"kernel rank {len(kernel)} != 6")
     n0 = default_offset()
-    if any(int(v) != w for v, w in zip(M.dot(np.array(n0.coeffs, dtype=object)), rhs)):
+    if mat_vec(M, n0.coeffs) != rhs:
         raise InconsistentSystem("reference vector fails the system")
     base = family_member((0,) * 6)
-    if any(int(v) != w for v, w in zip(M.dot(np.array(base.coeffs, dtype=object)), rhs)):
+    if mat_vec(M, base.coeffs) != rhs:
         raise InconsistentSystem("closed-form base point fails the system")
     unit = [
         tuple(int(e == i) for e in range(6))
@@ -216,11 +214,11 @@ def solve_family() -> SolutionFamily:
     directions = [
         list((family_member(u) - base).coeffs) for u in unit
     ]
-    if not lattices_equal([list(k) for k in kernel], directions):
+    if not lattices_equal(kernel, directions):
         raise InconsistentSystem("closed-form directions do not span the kernel")
     return SolutionFamily(
         particular=n0,
-        kernel=tuple(PairVector(N_STRANDS, tuple(int(v) for v in k)) for k in kernel),
+        kernel=tuple(PairVector(N_STRANDS, tuple(k)) for k in kernel),
     )
 
 

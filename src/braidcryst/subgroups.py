@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .braidword import BraidWord, PairVector, pair_index, pairs, pure_generator_word
 from .permutation import Permutation
 from .quotient import QuotientElement, normalize, power
@@ -24,15 +22,15 @@ from .torsion import torsion_witness
 from .zlinalg import abelianization, lattice_contains, solve_integer
 
 
-def holonomy_matrix(p: Permutation) -> np.ndarray:
-    """Matrix of the pair representation on lex-ordered pair coordinates:
-    row ``Q`` has its 1 in column ``pair_action(p, Q)``.  Matrices multiply
-    along left-to-right composition of permutations."""
+def holonomy_matrix(p: Permutation) -> list[list[int]]:
+    """Matrix of the pair representation on lex-ordered pair coordinates, as
+    a list of rows: row ``Q`` has its 1 in column ``pair_action(p, Q)``.
+    Matrices multiply along left-to-right composition of permutations."""
     all_pairs = pairs(p.n)
     size = len(all_pairs)
-    M = np.zeros((size, size), dtype=int)
+    M = [[0] * size for _ in range(size)]
     for row, q in enumerate(all_pairs):
-        M[row, pair_index(p.n, *p.pair_action(q))] = 1
+        M[row][pair_index(p.n, *p.pair_action(q))] = 1
     return M
 
 
@@ -107,11 +105,13 @@ class HolonomySubgroup:
 @dataclass(frozen=True)
 class PreimageDescriptor:
     """The preimage of a permutation subgroup in the quotient: a
-    crystallographic group of dimension ``n(n-1)/2`` with holonomy ``H``."""
+    crystallographic group of dimension ``n(n-1)/2`` with holonomy ``H``.
+    ``generator_matrices`` holds one :func:`holonomy_matrix` (a list of
+    rows) per generator of ``H``."""
 
     subgroup: HolonomySubgroup
     lattice_rank: int
-    generator_matrices: tuple
+    generator_matrices: tuple[list[list[int]], ...]
 
     def contains(self, g: QuotientElement) -> bool:
         if g.n != self.subgroup.n:
@@ -195,7 +195,7 @@ def sublattice_is_torsion_free(
         t_values.append(t_vec.coefficient(*orbit[0]))
     for j in range(1, m):
         rhs = [-j * t for t in t_values]
-        if solve_integer(np.array(rows, dtype=object), rhs) is not None:
+        if solve_integer(rows, rhs) is not None:
             return False
     return True
 
@@ -314,7 +314,7 @@ def three_strand_catalog() -> dict:
                 "relators_verified": relators_ok,
                 "abelianization": [free_rank, *factors],
                 "holonomy_generators": [
-                    holonomy_matrix(p).tolist() for p in H.generators
+                    holonomy_matrix(p) for p in H.generators
                 ],
                 "det_spectrum": sorted({holonomy_det(p) for p in H.elements}),
                 "bieberbach": is_bieberbach(H),

@@ -2,107 +2,139 @@
 transforms, integer linear solving, and finitely generated abelian group
 invariants.
 
-Matrices are numpy arrays with ``dtype=object`` holding python ints, so
-entries never overflow.  Row convention throughout: ``hnf`` returns ``(H, U)``
-with ``U @ M = H`` and ``U`` unimodular; ``snf`` returns ``(D, U, V)`` with
-``U @ M @ V = D`` diagonal and ``d1 | d2 | ...``.
+A matrix is a list of rows, each a list of python ints, so entries never
+overflow and no floating point is involved.  Inputs may be lists or tuples
+of rows; every entry must be an ``int`` (``bool``, ``float`` and other types
+raise ``TypeError``, ragged rows raise ``ValueError``).  Results are always
+fresh ``list[list[int]]`` (matrices) or ``list[int]`` (vectors).
+
+Row convention throughout: ``hnf`` returns ``(H, U)`` with ``U @ M = H`` and
+``U`` unimodular; ``snf`` returns ``(D, U, V)`` with ``U @ M @ V = D``
+diagonal and ``d1 | d2 | ...``.
+
+>>> hnf([[2, 4], [1, 3]])
+([[1, 1], [0, 2]], [[1, -1], [-1, 2]])
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
-import numpy as np
+Matrix = list[list[int]]
+MatrixLike = Sequence[Sequence[int]]
 
 
-def as_int_matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    M = np.array(rows, dtype=object)
-    if M.ndim == 1:
-        M = M.reshape(1, -1) if M.size else M.reshape(0, 0)
-    if M.ndim != 2:
-        raise ValueError("expected a 2-dimensional matrix")
-    return np.vectorize(int, otypes=[object])(M) if M.size else M
+def _int_vector(v: Sequence[int]) -> list[int]:
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(f"expected a list or tuple of ints, got {type(v).__name__}")
+    other = set(map(type, v)) - {int}
+    if other:
+        raise TypeError(f"expected int entries, got {other.pop().__name__}")
+    return list(v)
 
 
-def parse_matrix(text: str) -> np.ndarray:
-    """Rows of space-separated integers, one row per line."""
-    rows = [
-        [int(tok) for tok in line.split()]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
+def as_int_matrix(rows: MatrixLike) -> Matrix:
+    """Validated copy of ``rows``: a list of equal-length lists of ints."""
+    if not isinstance(rows, (list, tuple)):
+        raise TypeError(f"expected a list or tuple of rows, got {type(rows).__name__}")
+    M = [_int_vector(row) for row in rows]
+    if M and any(len(row) != len(M[0]) for row in M):
         raise ValueError("ragged rows")
-    return as_int_matrix(rows)
-
-
-def format_matrix(M: np.ndarray) -> str:
-    return "\n".join(" ".join(str(int(x)) for x in row) for row in np.asarray(M))
-
-
-def identity_matrix(n: int) -> np.ndarray:
-    M = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        M[i, i] = 1
     return M
 
 
-def hnf(M: Sequence[Sequence[int]] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _width(M: Matrix) -> int:
+    return len(M[0]) if M else 0
+
+
+def mat_vec(M: MatrixLike, v: Sequence[int]) -> list[int]:
+    """The product ``M @ v`` of a matrix and a vector."""
+    return [sum(map(mul, row, v)) for row in M]
+
+
+def _sub_multiple(x: list[int], q: int, y: list[int]) -> list[int]:
+    """The row ``x - q * y``."""
+    return [a - q * b for a, b in zip(x, y)]
+
+
+def parse_matrix(text: str) -> Matrix:
+    """Rows of space-separated integers, one row per line."""
+    return as_int_matrix(
+        [[int(tok) for tok in line.split()] for line in text.strip().splitlines() if line.strip()]
+    )
+
+
+def format_matrix(M: MatrixLike) -> str:
+    return "\n".join(" ".join(str(x) for x in row) for row in M)
+
+
+def identity_matrix(n: int) -> Matrix:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
+def hnf(M: MatrixLike) -> tuple[Matrix, Matrix]:
     """Row-style Hermite normal form.
 
-    Returns ``(H, U)`` with ``U @ M = H``, ``U`` unimodular, ``H`` in row
-    echelon form with positive pivots and the entries above each pivot
-    reduced into ``[0, pivot)``.
+    Returns ``(H, U)``, both lists of rows, with ``U @ M = H``, ``U``
+    unimodular, ``H`` in row echelon form with positive pivots and the
+    entries above each pivot reduced into ``[0, pivot)``.
     """
-    H = as_int_matrix(M).copy()
-    m = H.shape[0]
+    H = as_int_matrix(M)
+    m = len(H)
     U = identity_matrix(m)
     row = 0
-    for col in range(H.shape[1] if H.size else 0):
+    for col in range(_width(H)):
         # gcd-eliminate everything below `row` in this column
-        pivot = None
-        for r in range(row, m):
-            if H[r, col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(row, m) if H[r][col] != 0), None)
         if pivot is None:
             continue
         if pivot != row:
-            H[[row, pivot]] = H[[pivot, row]]
-            U[[row, pivot]] = U[[pivot, row]]
+            H[row], H[pivot] = H[pivot], H[row]
+            U[row], U[pivot] = U[pivot], U[row]
         for r in range(row + 1, m):
-            while H[r, col] != 0:
-                q = H[row, col] // H[r, col]
+            while H[r][col] != 0:
+                q = H[row][col] // H[r][col]
                 if q:
-                    H[row] = H[row] - q * H[r]
-                    U[row] = U[row] - q * U[r]
-                H[[row, r]] = H[[r, row]]
-                U[[row, r]] = U[[r, row]]
-        if H[row, col] < 0:
-            H[row] = -H[row]
-            U[row] = -U[row]
+                    H[row] = _sub_multiple(H[row], q, H[r])
+                    U[row] = _sub_multiple(U[row], q, U[r])
+                H[row], H[r] = H[r], H[row]
+                U[row], U[r] = U[r], U[row]
+        if H[row][col] < 0:
+            H[row] = [-a for a in H[row]]
+            U[row] = [-a for a in U[row]]
         for r in range(row):
-            q = H[r, col] // H[row, col]
+            q = H[r][col] // H[row][col]
             if q:
-                H[r] = H[r] - q * H[row]
-                U[r] = U[r] - q * U[row]
+                H[r] = _sub_multiple(H[r], q, H[row])
+                U[r] = _sub_multiple(U[r], q, U[row])
         row += 1
     return H, U
 
 
-def snf(M: Sequence[Sequence[int]] | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smith normal form ``U @ M @ V = D`` with divisibility along the diagonal."""
-    D = as_int_matrix(M).copy()
-    m, n = D.shape
+def snf(M: MatrixLike) -> tuple[Matrix, Matrix, Matrix]:
+    """Smith normal form ``U @ M @ V = D`` with divisibility along the diagonal.
+
+    ``D``, ``U`` and ``V`` are lists of rows.
+    """
+    D = as_int_matrix(M)
+    m, n = len(D), _width(D)
     U = identity_matrix(m)
-    V = identity_matrix(n)
+    # V is kept transposed, so that its column operations are row operations
+    VT = identity_matrix(n)
 
     def smallest_nonzero(t: int) -> tuple[int, int] | None:
+        """First entry in row-major order of least nonzero absolute value."""
         best = None
+        best_abs = 0
         for i in range(t, m):
+            row = D[i]
             for j in range(t, n):
-                if D[i, j] != 0 and (best is None or abs(D[i, j]) < abs(D[best[0], best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x != 0 and (best is None or abs(x) < best_abs):
+                    best, best_abs = (i, j), abs(x)
+                    if best_abs == 1:  # nothing later can be smaller
+                        return best
         return best
 
     t = 0
@@ -112,72 +144,72 @@ def snf(M: Sequence[Sequence[int]] | np.ndarray) -> tuple[np.ndarray, np.ndarray
             break
         i, j = pos
         if i != t:
-            D[[t, i]] = D[[i, t]]
-            U[[t, i]] = U[[i, t]]
+            D[t], D[i] = D[i], D[t]
+            U[t], U[i] = U[i], U[t]
         if j != t:
-            D[:, [t, j]] = D[:, [j, t]]
-            V[:, [t, j]] = V[:, [j, t]]
+            for row in D:
+                row[t], row[j] = row[j], row[t]
+            VT[t], VT[j] = VT[j], VT[t]
+        pivot = D[t][t]
         dirty = False
         for r in range(t + 1, m):
-            q = D[r, t] // D[t, t]
+            q = D[r][t] // pivot
             if q:
-                D[r] = D[r] - q * D[t]
-                U[r] = U[r] - q * U[t]
-            if D[r, t] != 0:
+                D[r] = _sub_multiple(D[r], q, D[t])
+                U[r] = _sub_multiple(U[r], q, U[t])
+            if D[r][t] != 0:
                 dirty = True
         for c in range(t + 1, n):
-            q = D[t, c] // D[t, t]
+            q = D[t][c] // pivot
             if q:
-                D[:, c] = D[:, c] - q * D[:, t]
-                V[:, c] = V[:, c] - q * V[:, t]
-            if D[t, c] != 0:
+                for row in D:
+                    row[c] -= q * row[t]
+                VT[c] = _sub_multiple(VT[c], q, VT[t])
+            if D[t][c] != 0:
                 dirty = True
         if dirty:
             continue
         # pivot divides every remaining entry? if not, fold the offender in
         offender = None
-        for r in range(t + 1, m):
-            for c in range(t + 1, n):
-                if D[r, c] % D[t, t] != 0:
-                    offender = r
-                    break
-            if offender is not None:
-                break
+        if abs(pivot) != 1:  # a unit pivot divides everything
+            remainder = pivot.__rmod__  # remainder(x) == x % pivot
+            offender = next(
+                (r for r in range(t + 1, m) if any(map(remainder, D[r][t + 1 :]))), None
+            )
         if offender is not None:
-            D[t] = D[t] + D[offender]
-            U[t] = U[t] + U[offender]
+            D[t] = [a + b for a, b in zip(D[t], D[offender])]
+            U[t] = [a + b for a, b in zip(U[t], U[offender])]
             continue
-        if D[t, t] < 0:
-            D[t] = -D[t]
-            U[t] = -U[t]
+        if pivot < 0:
+            D[t] = [-a for a in D[t]]
+            U[t] = [-a for a in U[t]]
         t += 1
-    return D, U, V
+    return D, U, [list(col) for col in zip(*VT)]
 
 
-def diagonal(D: np.ndarray) -> list[int]:
-    return [int(D[i, i]) for i in range(min(D.shape))] if D.size else []
+def diagonal(D: Matrix) -> list[int]:
+    return [D[i][i] for i in range(min(len(D), _width(D)))]
 
 
 def solve_integer(
-    M: Sequence[Sequence[int]] | np.ndarray,
-    b: Sequence[int] | np.ndarray,
-) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    M: MatrixLike, b: Sequence[int]
+) -> tuple[list[int], list[list[int]]] | None:
     """Solve ``M x = b`` over the integers.
 
-    Returns ``(x0, kernel_basis)`` where ``x0`` is one solution and
-    ``kernel_basis`` a lattice basis of ``{x : M x = 0}``, or ``None`` when no
-    integer solution exists.
+    Returns ``(x0, kernel_basis)`` where ``x0`` is one solution (a list of
+    ints) and ``kernel_basis`` a lattice basis of ``{x : M x = 0}`` (a list
+    of such lists), or ``None`` when no integer solution exists.
     """
     M = as_int_matrix(M)
-    m, n = M.shape
-    b = np.array([int(x) for x in b], dtype=object)
-    if b.shape != (m,):
+    m, n = len(M), _width(M)
+    b = _int_vector(b)
+    if len(b) != m:
         raise ValueError("right-hand side length does not match")
     D, U, V = snf(M)
-    c = U.dot(b)
+    c = mat_vec(U, b)
     diag = diagonal(D)
     rank = sum(1 for d in diag if d != 0)
-    y = np.zeros(n, dtype=object)
+    y = [0] * n
     for i in range(m):
         d = diag[i] if i < len(diag) else 0
         if d != 0:
@@ -186,56 +218,47 @@ def solve_integer(
             y[i] = c[i] // d
         elif c[i] != 0:
             return None
-    x0 = V.dot(y)
-    kernel = [V[:, j].copy() for j in range(rank, n)]
+    x0 = mat_vec(V, y)
+    kernel = [[row[j] for row in V] for j in range(rank, n)]
     return x0, kernel
 
 
-def kernel_basis(M: Sequence[Sequence[int]] | np.ndarray) -> list[np.ndarray]:
+def kernel_basis(M: MatrixLike) -> list[list[int]]:
     M = as_int_matrix(M)
-    solved = solve_integer(M, [0] * M.shape[0])
-    assert solved is not None
+    solved = solve_integer(M, [0] * len(M))
+    if solved is None:
+        raise RuntimeError("homogeneous system reported unsolvable")
     return solved[1]
 
 
-def row_lattice_hnf(rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+def row_lattice_hnf(rows: MatrixLike) -> Matrix:
     """Canonical basis (nonzero HNF rows) of the lattice spanned by ``rows``."""
-    M = as_int_matrix(rows)
-    if M.size == 0:
-        return M.reshape(0, M.shape[1] if M.ndim == 2 else 0)
-    H, _ = hnf(M)
-    nonzero = [i for i in range(H.shape[0]) if any(x != 0 for x in H[i])]
-    return H[nonzero]
+    H, _ = hnf(rows)
+    return [row for row in H if any(row)]
 
 
-def lattice_contains(rows: Sequence[Sequence[int]] | np.ndarray, v: Sequence[int]) -> bool:
+def lattice_contains(rows: MatrixLike, v: Sequence[int]) -> bool:
     """Is ``v`` in the row lattice of ``rows``?"""
     M = as_int_matrix(rows)
-    if M.size == 0:
-        return all(int(x) == 0 for x in v)
-    return solve_integer(M.T, v) is not None
+    if not _width(M):
+        return not any(_int_vector(v))
+    return solve_integer([list(col) for col in zip(*M)], v) is not None
 
 
-def lattices_equal(
-    rows_a: Sequence[Sequence[int]] | np.ndarray,
-    rows_b: Sequence[Sequence[int]] | np.ndarray,
-) -> bool:
-    A, B = row_lattice_hnf(rows_a), row_lattice_hnf(rows_b)
-    return A.shape == B.shape and bool(np.equal(A, B).all())
+def lattices_equal(rows_a: MatrixLike, rows_b: MatrixLike) -> bool:
+    return row_lattice_hnf(rows_a) == row_lattice_hnf(rows_b)
 
 
-def abelianization(
-    relations: Sequence[Sequence[int]] | np.ndarray, generators: int
-) -> tuple[int, list[int]]:
+def abelianization(relations: MatrixLike, generators: int) -> tuple[int, list[int]]:
     """Invariants of the abelian group ``Z^generators / row-span(relations)``.
 
     Returns ``(free_rank, invariant_factors)`` with the factors > 1 and each
     dividing the next.
     """
     R = as_int_matrix(relations)
-    if R.size == 0:
+    if not _width(R):
         return generators, []
-    if R.shape[1] != generators:
+    if len(R[0]) != generators:
         raise ValueError("relation width does not match generator count")
     D, _, _ = snf(R)
     diag = diagonal(D)

@@ -2,12 +2,19 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form
 
+import braidcryst
 from braidcryst.zlinalg import (
     abelianization,
     as_int_matrix,
@@ -17,9 +24,18 @@ from braidcryst.zlinalg import (
     lattice_contains,
     lattices_equal,
     parse_matrix,
+    row_lattice_hnf,
     snf,
     solve_integer,
 )
+
+
+def matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def matvec(A, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in A]
 
 
 def exact_det(M):
@@ -42,11 +58,11 @@ def exact_det(M):
 
 
 def minors_gcd(M, k):
-    rows, cols = M.shape
+    rows, cols = len(M), len(M[0])
     g = 0
     for ri in itertools.combinations(range(rows), k):
         for ci in itertools.combinations(range(cols), k):
-            g = math.gcd(g, abs(exact_det(M[np.ix_(ri, ci)])))
+            g = math.gcd(g, abs(exact_det([[M[r][c] for c in ci] for r in ri])))
     return g
 
 
@@ -75,7 +91,7 @@ def test_hnf_properties():
         M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         H, U = hnf(M)
         assert abs(exact_det(U)) == 1
-        assert (U.dot(M) == H).all()
+        assert matmul(U, M) == H
         assert is_hnf(H)
 
 
@@ -85,13 +101,13 @@ def test_snf_matches_determinantal_divisors():
         M = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), bound=5)
         D, U, V = snf(M)
         assert abs(exact_det(U)) == 1 and abs(exact_det(V)) == 1
-        assert (U.dot(M).dot(V) == D).all()
-        diag = [int(D[i, i]) for i in range(min(D.shape))]
+        assert matmul(matmul(U, M), V) == D
+        diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
             assert b == 0 if a == 0 else b % a == 0
         prev = 1
-        for k in range(1, min(M.shape) + 1):
+        for k in range(1, min(len(M), len(M[0])) + 1):
             dk = minors_gcd(M, k)
             expect = 0 if dk == 0 else dk // prev
             assert diag[k - 1] == expect
@@ -105,16 +121,16 @@ def test_solve_integer_round_trip():
     for _ in range(40):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         M = random_matrix(rng, rows, cols)
-        x = np.array([rng.randint(-3, 3) for _ in range(cols)], dtype=object)
-        b = M.dot(x)
+        x = [rng.randint(-3, 3) for _ in range(cols)]
+        b = matvec(M, x)
         out = solve_integer(M, b)
         assert out is not None
         x0, ker = out
-        assert (M.dot(x0) == b).all()
+        assert matvec(M, x0) == b
         for v in ker:
-            assert (M.dot(v) == 0).all()
+            assert matvec(M, v) == [0] * rows
         # the found solution differs from x by a kernel vector
-        assert lattice_contains([list(v) for v in ker] or [[0] * cols], list(x - x0))
+        assert lattice_contains(ker or [[0] * cols], [a - c for a, c in zip(x, x0)])
 
 
 def test_solve_integer_unsolvable():
@@ -130,10 +146,10 @@ def test_kernel_basis():
         M = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 4))
         ker = kernel_basis(M)
         for v in ker:
-            assert (M.dot(v) == 0).all()
+            assert matvec(M, v) == [0] * len(M)
         H, _ = hnf(M)
         rank = sum(1 for row in H if any(x != 0 for x in row))
-        assert len(ker) == M.shape[1] - rank
+        assert len(ker) == len(M[0]) - rank
 
 
 def test_lattice_membership():
@@ -151,7 +167,7 @@ def test_lattices_equal_under_unimodular_change():
     for _ in range(20):
         M = random_matrix(rng, 3, 3)
         _, U = hnf(M)
-        assert lattices_equal(M, U.dot(M))
+        assert lattices_equal(M, matmul(U, M))
 
 
 def test_abelianization_examples():
@@ -166,9 +182,9 @@ def test_abelianization_examples():
 
 def test_parse_and_format():
     M = parse_matrix("1 2\n3 4")
-    assert M.tolist() == [[1, 2], [3, 4]]
+    assert M == [[1, 2], [3, 4]]
     again = parse_matrix(format_matrix(M))
-    assert (again == M).all()
+    assert again == M
 
 
 @settings(max_examples=40)
@@ -188,3 +204,109 @@ def test_hnf_is_canonical_for_the_row_lattice(rows):
     nz1 = [list(r) for r in H1 if any(r)]
     nz2 = [list(r) for r in H2 if any(r)]
     assert nz1 == nz2
+
+
+def test_results_are_plain_lists():
+    M = [[2, 4, 4], [-6, 6, 12], [-4, 10, 16]]  # rank 2
+    H, U = hnf(M)
+    D, U2, V = snf(M)
+    x0, ker = solve_integer(M, [2, -6, -4])
+    assert len(ker) == 1
+    for X in (H, U, D, U2, V, ker):
+        assert type(X) is list and all(type(row) is list for row in X)
+        assert all(type(a) is int for row in X for a in row)
+    assert type(x0) is list and all(type(a) is int for a in x0)
+    # the input is copied, never modified in place
+    assert M == [[2, 4, 4], [-6, 6, 12], [-4, 10, 16]]
+
+
+MATRIX_FUNCTIONS = [
+    as_int_matrix,
+    hnf,
+    snf,
+    kernel_basis,
+    row_lattice_hnf,
+    lambda M: abelianization(M, 2),
+    lambda M: solve_integer(M, [0]),
+    lambda M: lattice_contains(M, [0, 0]),
+]
+
+
+@pytest.mark.parametrize("fn", MATRIX_FUNCTIONS)
+@pytest.mark.parametrize(
+    "bad", [[[1.7, True]], [[True, 1]], [[1.0, 2]], [["1", 2]], [[None, 2]], ["12"], "12", 5]
+)
+def test_matrix_entries_must_be_ints(fn, bad):
+    with pytest.raises(TypeError):
+        fn(bad)
+
+
+@pytest.mark.parametrize("fn", MATRIX_FUNCTIONS)
+def test_ragged_rows_are_rejected(fn):
+    with pytest.raises(ValueError):
+        fn([[1, 2], [3]])
+
+
+def test_parse_matrix_rejects_ragged_and_non_integer_text():
+    with pytest.raises(ValueError):
+        parse_matrix("1 2\n3")
+    with pytest.raises(ValueError):
+        parse_matrix("1 2.5")
+
+
+@pytest.mark.parametrize("bad", [[1.0], [True], ["1"], [None], "1", 1])
+def test_right_hand_sides_must_be_ints(bad):
+    with pytest.raises(TypeError):
+        solve_integer([[1]], bad)
+    with pytest.raises(TypeError):
+        lattice_contains([[1]], bad)
+    with pytest.raises(TypeError):
+        lattice_contains([], bad)
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout of braidcryst."""
+    src = str(Path(braidcryst.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_kernel_basis_check_survives_optimize():
+    # under -O every assert is gone; the check on the homogeneous solve must
+    # still fire when the solver (here a stub) reports no solution
+    script = """
+import sys
+import braidcryst.zlinalg as z
+print(sys.flags.optimize, z.kernel_basis([[1, 1]]) == [[-1, 1]])
+z.solve_integer = lambda M, b: None
+try:
+    z.kernel_basis([[1, 1]])
+except RuntimeError:
+    print("raised")
+"""
+    assert run_python("-O", "-c", script) == ["1", "True", "raised"]
+
+
+def test_import_does_not_load_numpy():
+    script = "import sys, braidcryst; print(any(m.split('.')[0] == 'numpy' for m in sys.modules))"
+    assert run_python("-c", script) == ["False"]
+
+
+def test_snf_and_abelianization_match_sympy():
+    rng = random.Random(7)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        M = random_matrix(rng, rows, cols, bound=6)
+        if rng.random() < 0.3:  # rank one, to exercise zero invariants
+            M = [[rng.randint(-2, 2) * a for a in M[0]] for _ in range(rows)]
+        S = smith_normal_form(Matrix(M), domain=ZZ)
+        expected = [abs(int(S[i, i])) for i in range(min(S.shape))]
+        D, _, _ = snf(M)
+        assert [D[i][i] for i in range(min(rows, cols))] == expected
+        rank = sum(1 for d in expected if d)
+        assert abelianization(M, cols) == (cols - rank, [d for d in expected if d > 1])
