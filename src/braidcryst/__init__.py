@@ -52,7 +52,6 @@ from .quotient import (
     normalize,
     power,
     pure,
-    reverse_scan_lift,
     to_word,
 )
 from .subgroups import (

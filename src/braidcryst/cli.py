@@ -60,6 +60,17 @@ def _element(args, text: str) -> QuotientElement:
     return normalize(BraidWord.from_text(args.n, text))
 
 
+def _strand_count(text: str) -> int:
+    """argparse type of ``--n``: an integer of at least 2."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return n
+
+
 def _need_n(args) -> int:
     if args.n is None:
         raise UsageError("--n is required for this command")
@@ -265,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="braidcryst",
         description="Exact arithmetic in the braid group quotients B_n/[P_n,P_n].",
     )
-    parser.add_argument("--n", type=int, help="strand count for word/permutation input")
+    parser.add_argument("--n", type=_strand_count,
+                        help="strand count (>= 2) for word/permutation input")
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument(
         "--seed", type=int, default=0, help="seed for sampling commands (default 0)"

@@ -15,12 +15,10 @@ from .quotient import (
     INFINITE,
     QuotientElement,
     basis_orbits,
-    canonical_lift,
     conjugate,
     element_order,
     inverse,
     mul,
-    normalize,
     pure,
 )
 from .torsion import BlockSpec, iter_block_specs, torsion_element
@@ -49,7 +47,7 @@ def standard_form(g: QuotientElement) -> tuple[QuotientElement, BlockSpec]:
     fixed = [i for i in range(1, g.n + 1) if g.perm(i) == i]
     images.extend(fixed)
     u = Permutation(tuple(images))
-    c = normalize(canonical_lift(u))
+    c = QuotientElement(u, PairVector.zero(g.n))
     assert conjugate(g, c).perm == spec.target_permutation()
     return c, spec
 

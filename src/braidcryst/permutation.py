@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A bijection of ``{1..n}`` stored as the tuple of images.
+    """A bijection of ``{1..n}``; ``images`` is the tuple ``p(1), ..., p(n)``.
+
+    The images are stored as bytes when ``n < 256`` and as the tuple
+    otherwise; equality, hashing and ``repr`` are those of the image tuple.
 
     >>> p = Permutation.from_text(3, "(1,3,2)")
     >>> p(1), p(3), p(2)
@@ -26,16 +28,38 @@ class Permutation:
     '(1,2,3)'
     """
 
-    images: tuple[int, ...]
+    __slots__ = ("_images",)
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images!r}")
+    def __init__(self, images: tuple[int, ...]) -> None:
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images!r}")
+        object.__setattr__(self, "_images", bytes(images) if n < 256 else tuple(images))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Permutation is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return Permutation, (self.images,)
+
+    @property
+    def images(self) -> tuple[int, ...]:
+        return tuple(self._images)
 
     @property
     def n(self) -> int:
-        return len(self.images)
+        return len(self._images)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self._images == other._images
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -77,7 +101,7 @@ class Permutation:
         return Permutation.from_cycles(n, cycles)
 
     def __call__(self, i: int) -> int:
-        return self.images[i - 1]
+        return self._images[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Left-to-right product: ``self`` first, then ``other``."""
@@ -85,7 +109,7 @@ class Permutation:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(other.images[i - 1] for i in self.images))
+        return Permutation(tuple(other._images[i - 1] for i in self._images))
 
     def __pow__(self, m: int) -> "Permutation":
         if m < 0:
@@ -101,12 +125,12 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         images = [0] * self.n
-        for i, j in enumerate(self.images, start=1):
+        for i, j in enumerate(self._images, start=1):
             images[j - 1] = i
         return Permutation(tuple(images))
 
     def is_identity(self) -> bool:
-        return all(self.images[i] == i + 1 for i in range(self.n))
+        return all(self._images[i] == i + 1 for i in range(self.n))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its least point, ordered by it."""

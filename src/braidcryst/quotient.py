@@ -2,19 +2,23 @@
 subgroup of the pure braid group.
 
 Every class has a unique expression ``A^v * L(p)`` where ``p`` is the image
-permutation, ``v`` the abelianized pure part, and ``L`` a fixed set-theoretic
-section assigning each permutation a positive lift word.  The default section
-is :func:`canonical_lift` (bubble-sort lift, length = inversion count); all
-group operations accept a ``section`` argument so that results can be checked
-to be independent of that choice.
+permutation, ``v`` the abelianized pure part, and ``L(p)`` a reduced positive
+lift of ``p`` (:func:`canonical_lift` gives one).  By Matsumoto's theorem all
+reduced positive words of a permutation are the same braid, so the normal form
+does not depend on which lift is chosen.
 
-Multiplication uses the twisted-product formula
+The group law is a twisted product over pairs ``i < j``; with
+``(p*q)(i) = q(p(i))``,
 
-    (p1, v1) * (p2, v2) = (p1*p2, v1 + v2.precompose(p1) + c(p1, p2))
+    (p, g) * (q, h) = (p*q, out),
+    out[i,j] = g[i,j] + h[sort(p(i),p(j))] + [p(i) > p(j) and q(p(i)) < q(p(j))],
 
-with the 2-cocycle ``c(p1, p2) = linking_vector(L(p1) L(p2) L(p1*p2)^-1)``.
-Ground truth is concatenation of representative words followed by
-:func:`normalize`; the tests cross-check the two routes.
+where the last term is the 2-cocycle ``linking_vector(L(p) L(q) L(pq)^-1)``:
+it counts the pairs that ``L(p)`` crosses and ``L(q)`` crosses back.  The
+inverse is ``(p^-1, w)`` with ``w[P] = -v[Q] - [p inverts Q]`` for
+``Q = sort(p^-1(P))``, and :func:`normalize` reads a word's crossings in one
+sweep.  Ground truth is concatenation of representative words followed by
+:func:`normalize`; the tests cross-check the closed forms against it.
 
 Conjugation acts on the lattice through pairs:
 ``g A[P] g^-1 = A[Q]`` with ``Q = perm(g)^{-1}(P)`` applied pointwise.
@@ -22,21 +26,17 @@ Conjugation acts on the lattice through pairs:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .braidword import BraidWord, PairVector, linking_vector, pairs, pure_word
+from .braidword import BraidWord, PairVector, crossing_counts, pair_offsets, pairs, pure_word
 from .permutation import Permutation
-
-Section = Callable[[Permutation], BraidWord]
 
 #: Returned by :func:`element_order` for elements of infinite order.
 INFINITE = math.inf
 
 
-@functools.lru_cache(maxsize=None)
 def canonical_lift(p: Permutation) -> BraidWord:
     """Positive bubble-sort lift of ``p``: scan positions left to right and
     swap whenever the strands at adjacent positions are inverted with respect
@@ -58,27 +58,9 @@ def canonical_lift(p: Permutation) -> BraidWord:
     return BraidWord(p.n, tuple(letters))
 
 
-@functools.lru_cache(maxsize=None)
-def reverse_scan_lift(p: Permutation) -> BraidWord:
-    """Alternative deterministic section scanning positions right to left.
-    Same length and permutation as :func:`canonical_lift`, generally a
-    different word; used to check section independence."""
-    order = list(range(1, p.n + 1))
-    letters: list[int] = []
-    swapped = True
-    while swapped:
-        swapped = False
-        for pos in range(p.n - 1, 0, -1):
-            if p(order[pos - 1]) > p(order[pos]):
-                order[pos - 1], order[pos] = order[pos], order[pos - 1]
-                letters.append(pos)
-                swapped = True
-    return BraidWord(p.n, tuple(letters))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuotientElement:
-    """Normal form ``A^vec * L(perm)`` relative to a fixed section."""
+    """Normal form ``A^vec * L(perm)``."""
 
     perm: Permutation
     vec: PairVector
@@ -101,7 +83,7 @@ class QuotientElement:
     def is_pure(self) -> bool:
         return self.perm.is_identity()
 
-    # Operator sugar fixed to the default section.
+    # Operator sugar.
     def __mul__(self, other: "QuotientElement") -> "QuotientElement":
         if not isinstance(other, QuotientElement):
             return NotImplemented
@@ -131,12 +113,19 @@ class QuotientElement:
 
     @staticmethod
     def from_json(data: Mapping) -> "QuotientElement":
-        n = int(data["n"])
-        perm = Permutation(tuple(int(i) for i in data["perm"]))
-        if perm.n != n:
+        """Parse ``{"n": n, "perm": [...], "vec": {"i,j": c, ...}}``; ``n``
+        and every entry must be ints (not bools or floats), ``n >= 2``."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"element must be a JSON object, got {data!r}")
+        n, images = data.get("n"), data.get("perm")
+        if type(n) is not int or n < 2:
+            raise ValueError(f"element n must be an integer >= 2, got {n!r}")
+        if not isinstance(images, (list, tuple)) or any(type(i) is not int for i in images):
+            raise ValueError(f"element perm must be a list of integers, got {images!r}")
+        if len(images) != n:
             raise ValueError("perm length does not match n")
         vec = PairVector.from_json(n, data.get("vec", {}))
-        return QuotientElement(perm, vec)
+        return QuotientElement(Permutation(tuple(images)), vec)
 
     def __str__(self) -> str:
         return f"{self.perm} | {self.vec}"
@@ -151,62 +140,73 @@ def basis_element(n: int, i: int, j: int) -> QuotientElement:
     return pure(PairVector.basis(n, i, j))
 
 
-def normalize(word: BraidWord, section: Section = canonical_lift) -> QuotientElement:
-    """Normal form of a word: split off the section lift of its permutation.
+def normalize(word: BraidWord) -> QuotientElement:
+    """Normal form of a word, from its crossings: a pair crosses ``L(p)``
+    once if ``p`` inverts it and not at all otherwise, so the pure part
+    counts the remaining crossings twice.
 
     >>> normalize(BraidWord.from_text(3, "-1 2 -1 2 -1 2")).is_identity()
     True
     """
-    p = word.permutation()
-    vec = linking_vector(word * section(p).inverse())
-    return QuotientElement(p, vec)
+    order, counts = crossing_counts(word)
+    p = Permutation(tuple(order)).inverse()
+    images = p.images
+    inverted = [a > b for i, a in enumerate(images) for b in images[i + 1:]]
+    twice = [c - f for c, f in zip(counts, inverted)]
+    half = [c >> 1 for c in twice]
+    if sum(twice) != 2 * sum(half):  # floor halving drops 1 per odd entry
+        raise AssertionError("odd crossing count left after removing the lift")
+    return QuotientElement(p, PairVector(word.n, half))
 
 
-@functools.lru_cache(maxsize=None)
-def _cocycle(p1: Permutation, p2: Permutation, section: Section) -> PairVector:
-    lift = section
-    return linking_vector(lift(p1) * lift(p2) * lift(p1 * p2).inverse())
-
-
-def mul(g: QuotientElement, h: QuotientElement,
-        section: Section = canonical_lift) -> QuotientElement:
+def mul(g: QuotientElement, h: QuotientElement) -> QuotientElement:
+    """``g * h`` by the closed-form twisted product, one pass over the pairs."""
     if g.n != h.n:
         raise ValueError("degree mismatch")
-    p = g.perm * h.perm
-    vec = g.vec + h.vec.precompose(g.perm) + _cocycle(g.perm, h.perm, section)
-    return QuotientElement(p, vec)
+    p, q = g.perm.images, (0,) + h.perm.images
+    off, hv = pair_offsets(g.n), h.vec.tolist()
+    moved: list[int] = []
+    for i, a in enumerate(p):
+        oa, qa = off[a], q[a]
+        moved += [hv[oa + b] if a < b else hv[off[b] + a] + (qa < q[b]) for b in p[i + 1:]]
+    vec = PairVector(g.n, [x + y for x, y in zip(g.vec.tolist(), moved)])
+    return QuotientElement(g.perm * h.perm, vec)
 
 
-def inverse(g: QuotientElement, section: Section = canonical_lift) -> QuotientElement:
+def inverse(g: QuotientElement) -> QuotientElement:
+    """``g^-1`` in closed form: ``w[P] = -v[Q] - [p inverts Q]``."""
     q = g.perm.inverse()
-    w = (-g.vec) - _cocycle(g.perm, q, section)
-    return QuotientElement(q, w.precompose(q))
+    off, v, images = pair_offsets(g.n), g.vec.tolist(), q.images
+    w: list[int] = []
+    for i, c in enumerate(images):
+        oc = off[c]
+        w += [-v[oc + d] if c < d else -v[off[d] + c] - 1 for d in images[i + 1:]]
+    return QuotientElement(q, PairVector(g.n, w))
 
 
-def power(g: QuotientElement, m: int, section: Section = canonical_lift) -> QuotientElement:
+def power(g: QuotientElement, m: int) -> QuotientElement:
     if m < 0:
-        return power(inverse(g, section), -m, section)
+        return power(inverse(g), -m)
     out = QuotientElement.identity(g.n)
     base = g
     while m:
         if m & 1:
-            out = mul(out, base, section)
+            out = mul(out, base)
         m >>= 1
         if m:
-            base = mul(base, base, section)
+            base = mul(base, base)
     return out
 
 
-def conjugate(g: QuotientElement, c: QuotientElement,
-              section: Section = canonical_lift) -> QuotientElement:
+def conjugate(g: QuotientElement, c: QuotientElement) -> QuotientElement:
     """``c * g * c^-1``."""
-    return mul(mul(c, g, section), inverse(c, section), section)
+    return mul(mul(c, g), inverse(c))
 
 
-def element_order(g: QuotientElement, section: Section = canonical_lift) -> int | float:
+def element_order(g: QuotientElement) -> int | float:
     """Order of ``g``; finite exactly when ``g^order(perm)`` has zero vector."""
     k = g.perm.order()
-    return k if power(g, k, section).vec.is_zero() else INFINITE
+    return k if power(g, k).vec.is_zero() else INFINITE
 
 
 def action_on_basis(g: QuotientElement, pair: tuple[int, int]) -> tuple[int, int]:
@@ -220,6 +220,7 @@ def basis_orbits(g: QuotientElement) -> tuple[tuple[tuple[int, int], ...], ...]:
     Each orbit is listed following the action direction starting from its
     lexicographically least pair; orbits are sorted by their first pair.
     """
+    act = g.perm.inverse().pair_action
     seen: set[tuple[int, int]] = set()
     orbits: list[tuple[tuple[int, int], ...]] = []
     for start in pairs(g.n):
@@ -227,19 +228,19 @@ def basis_orbits(g: QuotientElement) -> tuple[tuple[tuple[int, int], ...], ...]:
             continue
         orbit = [start]
         seen.add(start)
-        q = action_on_basis(g, start)
+        q = act(start)
         while q != start:
             orbit.append(q)
             seen.add(q)
-            q = action_on_basis(g, q)
+            q = act(q)
         k = orbit.index(min(orbit))
         orbits.append(tuple(orbit[k:] + orbit[:k]))
     return tuple(sorted(orbits, key=lambda o: o[0]))
 
 
-def to_word(g: QuotientElement, section: Section = canonical_lift) -> BraidWord:
+def to_word(g: QuotientElement) -> BraidWord:
     """A representative word: pure part in lex pair order, then the lift."""
-    return pure_word(g.vec) * section(g.perm)
+    return pure_word(g.vec) * canonical_lift(g.perm)
 
 
 def embed(g: QuotientElement, m: int) -> QuotientElement:

@@ -27,7 +27,6 @@ from .permutation import Permutation
 from .quotient import (
     QuotientElement,
     basis_orbits,
-    canonical_lift,
     mul,
     normalize,
     power,
@@ -169,7 +168,7 @@ def torsion_witness(p: Permutation) -> PairVector | None:
     if p.is_identity():
         raise ValueError("the identity permutation needs no witness")
     m = p.order()
-    lift = normalize(canonical_lift(p))
+    lift = QuotientElement(p, PairVector.zero(p.n))
     t = power(lift, m).vec
     witness: dict[tuple[int, int], int] = {}
     for orbit in basis_orbits(lift):

@@ -1,7 +1,9 @@
 """Braid words, linking vectors, pure generator words."""
 
 import itertools
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -153,3 +155,54 @@ def test_pair_vector_precompose():
 def test_pair_vector_json_round_trip():
     v = PairVector.from_pairs(5, {(2, 5): -4, (1, 3): 2})
     assert PairVector.from_json(5, v.to_json()) == v
+
+
+def test_pair_vector_from_json_is_strict():
+    for bad in ([1], 5, None, "1,2", {"1,2": 1.7}, {"1,2": True}, {"1,2": "1"},
+                {"1,2": None}, {"1-2": 1}, {"1,2,3": 1}, {" 1,2": 1}, {"2,1": 1}, {"1,6": 1}):
+        with pytest.raises(ValueError):
+            PairVector.from_json(5, bad)
+    assert PairVector.from_json(5, {"1,2": 10**30}).coefficient(1, 2) == 10**30
+
+
+def test_pair_vector_storage_boundaries():
+    # entries in [-128, 127] are packed as signed bytes, anything else is
+    # kept as the exact tuple; every route to the same values must give an
+    # equal vector with an equal hash
+    n = 4
+    for value in (-128, 127, 128, -129, 10**30):
+        routes = [
+            PairVector(n, (value, 0, 0, 0, 0, 0)),
+            PairVector(n, [value, 0, 0, 0, 0, 0]),
+            PairVector.from_pairs(n, {(1, 2): value}),
+            PairVector.basis(n, 1, 2).scaled(value),
+            PairVector.from_pairs(n, {(1, 2): value - 1}) + PairVector.basis(n, 1, 2),
+            -PairVector.from_pairs(n, {(1, 2): -value}),
+            PairVector.from_json(n, {"1,2": value}),
+            pickle.loads(pickle.dumps(PairVector(n, (value, 0, 0, 0, 0, 0)))),
+        ]
+        for v in routes:
+            assert v == routes[0]
+            assert hash(v) == hash(routes[0]) == hash((n, v.coeffs))
+            assert type(v.coeffs) is tuple and all(type(c) is int for c in v.coeffs)
+            assert v.coeffs == (value, 0, 0, 0, 0, 0)
+            assert v.tolist() == [value, 0, 0, 0, 0, 0]
+            assert v.coefficient(1, 2) == value and v.coefficient(3, 4) == 0
+            assert repr(v) == f"PairVector(n=4, coeffs=({value}, 0, 0, 0, 0, 0))"
+            assert not v.is_zero() and (v - v).is_zero()
+        assert (type(routes[0]._data) is bytes) == (-128 <= value <= 127)
+    with pytest.raises(AttributeError):
+        routes[0].n = 5
+    with pytest.raises(ValueError):
+        PairVector(n, (0,) * 5)
+    with pytest.raises(TypeError):
+        PairVector(3, (1.5, 0, 0))
+    with pytest.raises(TypeError):
+        PairVector(3, (1.5, 200, 0))
+
+
+def test_small_entry_vector_storage_size():
+    n = 64
+    v = PairVector(n, tuple(k % 5 - 2 for k in range(n * (n - 1) // 2)))
+    assert sys.getsizeof(v._data) <= 2200
+    assert v.coeffs == tuple(k % 5 - 2 for k in range(n * (n - 1) // 2))

@@ -1,10 +1,14 @@
 """The braidcryst command line front end."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidcryst.cli import main
+from braidcryst.quotient import QuotientElement
 
 
 def run(capsys, *argv):
@@ -230,3 +234,107 @@ def test_conflicting_n_is_a_domain_error(capsys):
     code, _, err = run(capsys, "--n", "5", "nf", gj)
     assert code == 1
     assert "conflicts" in err
+
+
+def _call(*argv):
+    """``main`` with captured streams; returns (exit code, stdout, stderr lines)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+MALFORMED_ELEMENTS = [
+    '{"n":3,"perm":5}',
+    '{"n":3,"perm":[1,2,3],"vec":[1]}',
+    '{"n":3,"perm":[1,2,3],"vec":{"1,2":1.7}}',
+    '{"n":3,"perm":[1,2,3],"vec":{"1,2":true}}',
+    '{"n":3,"perm":[1,2,3],"vec":null}',
+    '{"n":3,"perm":[1,2,3],"vec":{"1-2":1}}',
+    '{"n":3,"perm":[1,2,3],"vec":{"2,1":1}}',
+    '{"n":3,"perm":[1,2,3],"vec":{"1,4":1}}',
+    '{"n":true,"perm":[1]}',
+    '{"n":3.0,"perm":[1,2,3]}',
+    '{"n":"3","perm":[1,2,3]}',
+    '{"n":3,"perm":[1,2,3.0]}',
+    '{"n":3,"perm":[1,2,true]}',
+    '{"n":3,"perm":[1,2,2]}',
+    '{"n":3,"perm":[1,2]}',
+    '{"n":1,"perm":[1]}',
+    '{"perm":[1,2]}',
+    '{"n":3}',
+    '{"n": 3',
+]
+
+
+def test_malformed_element_json_gives_one_error_line():
+    for text in MALFORMED_ELEMENTS:
+        code, out, err = _call("order", text)
+        assert (code, out) == (1, ""), text
+        assert len(err) == 1 and err[0].startswith("error: "), (text, err)
+    for text in MALFORMED_ELEMENTS[:-1]:  # the last one is not JSON at all
+        with pytest.raises(ValueError):
+            QuotientElement.from_json(json.loads(text))
+
+
+def test_element_json_keeps_exact_large_entries():
+    code, out, _ = _call("--json", "mul", '{"n":3,"perm":[1,2,3],"vec":{"1,2":100000000000000000000}}',
+                         '{"n":3,"perm":[1,2,3],"vec":{"1,2":-99999999999999999999}}')
+    assert code == 0 and json.loads(out)["vec"] == {"1,2": 1}
+
+
+def test_strand_count_below_two_is_a_usage_error():
+    for value in ("0", "1", "-3", "x", "2.5"):
+        code, out, err = _call("--n", value, "holonomy", "()")
+        assert (code, out) == (2, ""), value
+        assert [line for line in err if "error:" in line] == [
+            f"braidcryst: error: argument --n: must be an integer >= 2, got {value!r}"
+        ]
+    assert _call("--n", "2", "holonomy", "()")[0] == 0
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _valid_element(n):
+    keys = [f"{i},{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return st.fixed_dictionaries({
+        "n": st.just(n),
+        "perm": st.permutations(range(1, n + 1)),
+        "vec": st.dictionaries(st.sampled_from(keys), st.integers(), max_size=4),
+    })
+
+
+_element_json = (
+    st.integers(min_value=2, max_value=6).flatmap(_valid_element)
+    | st.fixed_dictionaries({}, optional={
+        "n": st.integers(min_value=-1, max_value=6) | _json_values,
+        "perm": st.lists(st.integers(min_value=0, max_value=6), max_size=6) | _json_values,
+        "vec": st.dictionaries(st.text(alphabet="0123456, ", max_size=4),
+                               st.integers() | _json_values, max_size=3) | _json_values,
+    })
+    | _json_values
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_element_json)
+def test_order_verb_on_any_element_json(data):
+    # exit 0 with a JSON answer, or exit 1/2 with exactly one error line;
+    # never a traceback (an exception escaping main fails the test)
+    code, out, err = _call("--json", "--element-json", "order", json.dumps(data))
+    if code == 0:
+        assert err == []
+        assert set(json.loads(out)) == {"order"}
+    else:
+        assert code in (1, 2) and out == ""
+        assert len([line for line in err if "error:" in line]) == 1
+        if code == 1:
+            assert len(err) == 1 and err[0].startswith("error: ")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -155,3 +156,23 @@ def test_pair_action_is_an_action():
         p, q = Permutation(tuple(a)), Permutation(tuple(b))
         for pair in itertools.combinations(range(1, 6), 2):
             assert (p * q).pair_action(pair) == q.pair_action(p.pair_action(pair))
+
+
+def test_storage_keeps_tuple_semantics():
+    # images are packed as bytes below 256 points and kept as a tuple above;
+    # equality, hashing and repr are those of the image tuple either way
+    rng = random.Random(11)
+    for n in (1, 5, 255, 256, 300):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        p = Permutation(tuple(images))
+        assert p.images == tuple(images) and type(p.images) is tuple and p.n == n
+        assert hash(p) == hash((p.images,))
+        assert repr(p) == f"Permutation(images={tuple(images)!r})"
+        assert p == Permutation(tuple(images)) == pickle.loads(pickle.dumps(p))
+        assert p * p.inverse() == Permutation.identity(n)
+        assert [p(i) for i in range(1, n + 1)] == images
+    with pytest.raises(AttributeError):
+        p.images = (1,)
+    with pytest.raises(ValueError):
+        Permutation((1, 1))

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidcryst.braidword import BraidWord, PairVector, linking_vector, pairs
+from braidcryst.braidword import BraidWord, PairVector, full_twist_word, linking_vector, pairs
 from braidcryst.permutation import Permutation, all_permutations
 from braidcryst.quotient import (
     INFINITE,
@@ -23,8 +23,16 @@ from braidcryst.quotient import (
     normalize,
     power,
     pure,
-    reverse_scan_lift,
     to_word,
+)
+from word_oracle import (
+    LIFTS,
+    closed_cocycle,
+    reverse_scan_lift,
+    word_cocycle,
+    word_inverse,
+    word_mul,
+    word_normalize,
 )
 
 
@@ -77,10 +85,60 @@ def test_section_swap_invariance():
     for n in range(3, 10):
         for _ in range(40):
             w = random_word(n, rng)
-            assert normalize(w, reverse_scan_lift) == normalize(w, canonical_lift)
+            assert word_normalize(w, reverse_scan_lift) == normalize(w)
             g, h = normalize(random_word(n, rng)), normalize(random_word(n, rng))
-            assert mul(g, h, reverse_scan_lift) == mul(g, h)
-            assert inverse(g, reverse_scan_lift) == inverse(g)
+            assert word_mul(g, h, reverse_scan_lift) == mul(g, h)
+            assert word_inverse(g, reverse_scan_lift) == inverse(g)
+            for lift in LIFTS:
+                assert closed_cocycle(g.perm, h.perm) == word_cocycle(g.perm, h.perm, lift)
+
+
+def test_closed_forms_match_word_cocycle_exhaustively():
+    # every pair of permutations with n <= 5, each carrying a fixed random
+    # vector, against the word-built cocycle under both lifts
+    rng = random.Random(12)
+    for n in range(2, 6):
+        perms = list(all_permutations(n))
+        canonical, reverse = ({p: lift(p) for p in perms}.__getitem__ for lift in LIFTS)
+        elements = [
+            QuotientElement(p, PairVector(n, tuple(rng.randint(-3, 3) for _ in pairs(n))))
+            for p in perms
+        ]
+        for g in elements:
+            assert inverse(g) == word_inverse(g, canonical) == word_inverse(g, reverse)
+            for h in elements:
+                assert mul(g, h) == word_mul(g, h, canonical)
+                assert closed_cocycle(g.perm, h.perm) == word_cocycle(g.perm, h.perm, reverse)
+
+
+def test_normalize_matches_word_route():
+    rng = random.Random(13)
+    for n in range(2, 13):
+        for _ in range(60):
+            w = random_word(n, rng, max_len=4 * n)
+            g = normalize(w)
+            for lift in LIFTS:
+                assert g == word_normalize(w, lift)
+
+
+def test_large_powers_against_word_oracle():
+    # entries past 127 leave the packed storage; the closed forms must agree
+    # with the word route there and on the way back
+    n = 4
+    twist = full_twist_word(n)
+    tw = normalize(twist)
+    big = power(tw, 200)
+    assert big.vec.coeffs == (200,) * 6
+    assert big == word_normalize(BraidWord(n, twist.letters * 200))
+    assert power(tw, -200) == inverse(big) == word_inverse(big)
+    assert mul(big, power(tw, -200)).is_identity()
+    w = BraidWord.from_text(n, "1 2 2 3 -1")
+    g = normalize(w)
+    g400 = power(g, 400)
+    assert max(abs(c) for c in g400.vec.coeffs) > 127
+    assert g400 == word_normalize(BraidWord(n, w.letters * 400))
+    assert mul(g400, g) == word_mul(g400, g) == power(g, 401)
+    assert inverse(g400) == word_inverse(g400)
 
 
 def test_group_laws():
