@@ -4,6 +4,7 @@ from .braidword import (
     BraidWord,
     NotPureError,
     PairVector,
+    VerificationError,
     full_twist_word,
     linking_vector,
     pair_index,

@@ -27,6 +27,11 @@ class NotPureError(ValueError):
     """Raised when a pure-braid-only operation gets a non-pure word."""
 
 
+class VerificationError(AssertionError):
+    """Raised when a result fails the check the engine makes before returning
+    it; unlike an ``assert``, the check still runs under ``python -O``."""
+
+
 def pairs(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs ``(i, j)`` with ``1 <= i < j <= n`` in lexicographic order."""
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
@@ -47,6 +52,20 @@ def pair_offsets(n: int) -> list[int]:
     """Row offsets with ``pair_index(n, a, b) == pair_offsets(n)[a] + b`` for
     ``a < b``; the hot loops index pairs through them."""
     return [0] + [(a - 1) * (2 * n - a) // 2 - a - 1 for a in range(1, n + 1)]
+
+
+def pair_images(p: Permutation) -> list[int]:
+    """The pair action of ``p`` on pair positions: entry ``pair_index(P)`` is
+    ``pair_index(p.pair_action(P))``.
+
+    >>> pair_images(Permutation.from_text(3, "(1,2,3)"))
+    [2, 0, 1]
+    """
+    off, images = pair_offsets(p.n), p.images
+    return [
+        off[a] + b if a < b else off[b] + a
+        for i, a in enumerate(images) for b in images[i + 1:]
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,12 +226,8 @@ class PairVector:
         """The vector ``w`` with ``w[P] = self[pair_action(p, P)]``."""
         if p.n != self.n:
             raise ValueError("degree mismatch")
-        v, off, images = self.tolist(), pair_offsets(self.n), p.images
-        out: list[int] = []
-        for i, a in enumerate(images):
-            oa = off[a]
-            out += [v[oa + b] if a < b else v[off[b] + a] for b in images[i + 1:]]
-        return PairVector(self.n, out)
+        v = self.tolist()
+        return PairVector(self.n, [v[k] for k in pair_images(p)])
 
     def to_json(self) -> dict[str, int]:
         return {f"{i},{j}": c for (i, j), c in sorted(self.support().items())}
@@ -265,7 +280,7 @@ def linking_vector(word: BraidWord) -> PairVector:
     if order != list(range(1, word.n + 1)):
         raise NotPureError(f"word is not pure: {word}")
     if any(c % 2 for c in counts):
-        raise AssertionError("pure word with odd crossing count")
+        raise VerificationError("pure word with odd crossing count")
     return PairVector(word.n, [c // 2 for c in counts])
 
 

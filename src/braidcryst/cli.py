@@ -88,10 +88,6 @@ def _element_out(args, g: QuotientElement) -> None:
     _emit(args, g.to_json(), str(g))
 
 
-def _orbit_payload(table) -> list:
-    return table.to_json()
-
-
 def _orbit_text(table) -> str:
     return "\n".join(
         " -> ".join(f"{{{i},{j}}}" for (i, j) in orbit) for orbit in table.orbits
@@ -140,7 +136,7 @@ def _cmd_orbits(args) -> None:
         table = enumerate_orbits(_element(args, args.element))
     else:
         raise UsageError("orbits needs an element or --blocks")
-    _emit(args, _orbit_payload(table), _orbit_text(table))
+    _emit(args, table.to_json(), _orbit_text(table))
 
 
 def _cmd_conjugate_test(args) -> None:
@@ -382,6 +378,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         # covers NotPure, InfiniteOrder, NotASolution, NotFrobenius, bad JSON
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # work sized by --n (n(n-1)/2 pairs and up) that does not fit in memory
+        print("error: out of memory; try a smaller --n", file=sys.stderr)
         return 1
     return 0
 

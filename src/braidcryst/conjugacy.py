@@ -9,7 +9,7 @@ lattice vector solved orbit by orbit from a telescoping linear system.
 
 from __future__ import annotations
 
-from .braidword import PairVector
+from .braidword import PairVector, VerificationError
 from .permutation import Permutation
 from .quotient import (
     INFINITE,
@@ -44,11 +44,11 @@ def standard_form(g: QuotientElement) -> tuple[QuotientElement, BlockSpec]:
     images: list[int] = []
     for cycle in cycles:
         images.extend(cycle)
-    fixed = [i for i in range(1, g.n + 1) if g.perm(i) == i]
-    images.extend(fixed)
+    images.extend(g.perm.fixed_points())
     u = Permutation(tuple(images))
     c = QuotientElement(u, PairVector.zero(g.n))
-    assert conjugate(g, c).perm == spec.target_permutation()
+    if conjugate(g, c).perm != spec.target_permutation():
+        raise VerificationError("conjugator does not reach the block permutation")
     return c, spec
 
 
@@ -71,7 +71,7 @@ def conjugator_to_standard(g: QuotientElement) -> QuotientElement:
         q = len(orbit)
         m = [offset.coefficient(i, j) for (i, j) in orbit]
         if sum(m) != 0:
-            raise AssertionError("orbit sum nonzero for a finite-order element")
+            raise VerificationError("orbit sum nonzero for a finite-order element")
         x = [0] * q
         for i in range(q - 1, 0, -1):
             x[i - 1] = x[i] + m[i]
@@ -80,7 +80,8 @@ def conjugator_to_standard(g: QuotientElement) -> QuotientElement:
                 coeffs[pair] = value
     mover = pure(PairVector.from_pairs(g.n, coeffs))
     c = mul(mover, c0)
-    assert conjugate(g, c) == delta
+    if conjugate(g, c) != delta:
+        raise VerificationError("conjugator does not reach the block torsion element")
     return c
 
 
@@ -104,7 +105,8 @@ def are_conjugate(
     cg = conjugator_to_standard(g)
     ch = conjugator_to_standard(h)
     witness = mul(inverse(ch), cg)
-    assert conjugate(g, witness) == h
+    if conjugate(g, witness) != h:
+        raise VerificationError("witness does not conjugate g onto h")
     return True, witness
 
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .braidword import BraidWord, PairVector, pair_index, pairs
+from .braidword import BraidWord, PairVector, VerificationError, pair_images, pair_index
 from .conjugacy import conjugator_to_standard
-from .permutation import Permutation
+from .permutation import Permutation, closure
 from .quotient import (
     QuotientElement,
     basis_orbits,
@@ -166,20 +166,20 @@ def _system() -> tuple[list[list[int]], list[int]]:
     """24 rows: one conjugation equation per pair, one sum per y-orbit."""
     x, y = build_xy()
     d = defect(x, y)
-    all_pairs = pairs(N_STRANDS)
+    alpha, beta = pair_images(ALPHA), pair_images(BETA)
     rows: list[list[int]] = []
     rhs: list[int] = []
     # x (A^N y) x^-1 = (A^N y)^2 reduces to N[beta Q] + D[Q] = N[Q] + N[alpha Q]
-    for q in all_pairs:
-        row = [0] * len(all_pairs)
-        row[pair_index(N_STRANDS, *q)] += 1
-        row[pair_index(N_STRANDS, *ALPHA.pair_action(q))] += 1
-        row[pair_index(N_STRANDS, *BETA.pair_action(q))] -= 1
+    for q, c in enumerate(d.coeffs):
+        row = [0] * len(alpha)
+        row[q] += 1
+        row[alpha[q]] += 1
+        row[beta[q]] -= 1
         rows.append(row)
-        rhs.append(d.coefficient(*q))
+        rhs.append(c)
     # (A^N y)^7 = 1 reduces to zero N-sum over each y-orbit
     for orbit in basis_orbits(y):
-        row = [0] * len(all_pairs)
+        row = [0] * len(alpha)
         for p in orbit:
             row[pair_index(N_STRANDS, *p)] = 1
         rows.append(row)
@@ -262,7 +262,7 @@ def build_frobenius(N: PairVector | None = None) -> FrobeniusWitness:
         _relation_record("x v x^-1 = v^2", conjugate(v, x), power(v, 2)),
     )
     if not all(rec["holds"] for rec in certificate):
-        raise AssertionError("certificate failed for a family member")
+        raise VerificationError("certificate failed for a family member")
     return FrobeniusWitness(x=x, v=v, certificate=certificate)
 
 
@@ -270,31 +270,8 @@ def subgroup_closure(*generators: QuotientElement) -> tuple[QuotientElement, ...
     """All elements generated by the inputs (must be finite to terminate)."""
     if not generators:
         raise ValueError("need at least one generator")
-    n = generators[0].n
-    found = {QuotientElement.identity(n)}
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in generators:
-                b = mul(a, g)
-                if b not in found:
-                    found.add(b)
-                    nxt.append(b)
-        frontier = nxt
+    found = closure(QuotientElement.identity(generators[0].n), generators)
     return tuple(sorted(found, key=lambda e: (e.perm.images, e.vec.coeffs)))
-
-
-# x-orbits of the pair basis; theta vectors constant on them centralize x
-_X_ORBIT_GROUPS = (
-    ((1, 2), (1, 3), (2, 3)),
-    ((2, 7), (1, 7), (3, 7)),
-    ((3, 6), (2, 5), (1, 4)),
-    ((3, 5), (2, 4), (1, 6)),
-    ((4, 6), (5, 6), (4, 5)),
-    ((4, 7), (6, 7), (5, 7)),
-    ((1, 5), (3, 4), (2, 6)),
-)
 
 
 def conjugator_between(N: PairVector) -> PairVector:
@@ -313,15 +290,18 @@ def conjugator_between(N: PairVector) -> PairVector:
     s7 = s3 + r2
     s2 = s7 - r5 - r4 - r3
     s5 = s2 - r6 + r5 + r4 + r3 - r2 - r1
-    values = (s1, s2, s3, s4, s5, s6, s7)
+    x, y = build_xy()
+    # one constant per x-orbit, in the order of their least pairs
+    # (1,2), (1,4), (1,5), (1,6), (1,7), (4,5), (4,7)
+    values = (s1, s3, s7, s4, s2, s5, s6)
     theta = PairVector.from_pairs(
         N_STRANDS,
-        {pair: s for s, group in zip(values, _X_ORBIT_GROUPS) for pair in group},
+        {pair: s for s, orbit in zip(values, basis_orbits(x)) for pair in orbit},
     )
-    x, y = build_xy()
     mover = pure(theta)
-    assert conjugate(x, mover) == x
-    assert conjugate(mul(pure(default_offset()), y), mover) == mul(pure(N), y)
+    v0 = mul(pure(default_offset()), y)
+    if conjugate(x, mover) != x or conjugate(v0, mover) != mul(pure(N), y):
+        raise VerificationError("theta does not carry (x, v0) onto (x, A^N y)")
     return theta
 
 
@@ -361,16 +341,16 @@ def _seven_cycle_matcher(p: Permutation) -> Permutation:
     ``rho * p * rho^-1 == ALPHA``."""
     (cycle,) = p.cycles()
     target = ALPHA.cycles()[0]
-    best: Permutation | None = None
+    candidates = []
     for s in range(7):
         rotated = cycle[s:] + cycle[:s]
         images = [0] * 7
         for a, b in zip(target, rotated):
             images[a - 1] = b
-        candidate = Permutation(tuple(images))
-        if best is None or candidate.images < best.images:
-            best = candidate
-    assert best is not None and (best * p * best.inverse()) == ALPHA
+        candidates.append(Permutation(tuple(images)))
+    best = min(candidates, key=lambda c: c.images)
+    if best * p * best.inverse() != ALPHA:
+        raise VerificationError("cycle match does not conjugate onto ALPHA")
     return best
 
 
@@ -402,7 +382,8 @@ def standardize_frobenius(
 
     lam1 = conjugator_to_standard(a3)
     b3, b7 = conjugate(a3, lam1), conjugate(a7, lam1)
-    assert b3 == x
+    if b3 != x:
+        raise VerificationError("torsion standardization missed x")
 
     z = b7.perm
     branch = next(
@@ -412,7 +393,8 @@ def standardize_frobenius(
     )
     lam2 = inverse(normalize(BraidWord.from_text(N_STRANDS, CENTRALIZER_MOVES[branch])))
     c3, c7 = conjugate(b3, lam2), conjugate(b7, lam2)
-    assert c3 == x
+    if c3 != x:
+        raise VerificationError("centralizer move does not fix x")
 
     j = next(e for e in range(1, 7) if c7.perm == ALPHA**e)
     v = power(c7, pow(j, -1, 7))
@@ -422,7 +404,8 @@ def standardize_frobenius(
     theta = inverse(pure(conjugator_between(offset)))
     d3, d7 = conjugate(c3, theta), conjugate(c7, theta)
     v0 = mul(pure(default_offset()), y)
-    assert d3 == x and d7 == power(v0, j)
+    if d3 != x or d7 != power(v0, j):
+        raise VerificationError("offset shift does not reach (x, v0^j)")
 
     chain = (
         ("cycle_match", rho),
@@ -433,9 +416,10 @@ def standardize_frobenius(
     total = rho
     for _, c in chain[1:]:
         total = mul(c, total)
-    assert conjugate(g3, total) == d3 and conjugate(g7, total) == d7
+    if conjugate(g3, total) != d3 or conjugate(g7, total) != d7:
+        raise VerificationError("composed conjugator does not match the chain")
     if set(subgroup_closure(d3, d7)) != set(subgroup_closure(x, v0)):
-        raise AssertionError("image subgroup does not match the reference")
+        raise VerificationError("image subgroup does not match the reference")
     return StandardizationResult(
         conjugator=total,
         chain=chain,

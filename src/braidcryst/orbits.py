@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator
 
+from .braidword import VerificationError
 from .quotient import QuotientElement, basis_orbits
 from .torsion import BlockSpec, torsion_element
 
@@ -34,14 +35,6 @@ class OrbitTable:
         return tuple(len(o) for o in self.orbits)
 
 
-def _canonical(orbits: Sequence[Sequence[Pair]]) -> tuple[tuple[Pair, ...], ...]:
-    rotated = []
-    for orbit in orbits:
-        k = list(orbit).index(min(orbit))
-        rotated.append(tuple(orbit[k:]) + tuple(orbit[:k]))
-    return tuple(sorted(rotated, key=lambda o: o[0]))
-
-
 def enumerate_orbits(g: QuotientElement) -> OrbitTable:
     return OrbitTable(g, basis_orbits(g))
 
@@ -51,32 +44,24 @@ def _wrap(x: int, m: int) -> int:
     return (x - 1) % m + 1
 
 
-def closed_form_orbits(spec: BlockSpec) -> OrbitTable:
-    """Orbit table of ``torsion_element(spec)`` from index formulas alone."""
+def _families(spec: BlockSpec) -> Iterator[tuple[tuple, list[Pair]]]:
+    """The orbits of ``torsion_element(spec)`` from index formulas alone, each
+    in action order with the label prefix :func:`relabeled_basis` gives it."""
     n = spec.n
     blocks = spec.blocks
     offsets = spec.offsets()
     span = spec.span()
-    orbits: list[list[Pair]] = []
-
-    # pairs within one block: distance class h winds around the block
-    for r, k in zip(offsets, blocks):
+    for r1, (r, k) in enumerate(zip(offsets, blocks), start=1):
+        # pairs within one block: distance class h winds around the block
         for h in range(1, (k - 1) // 2 + 1):
-            orbit: list[Pair] = []
-            for t in range(1, k + 1):
-                if t <= h:
-                    orbit.append((r + h - t + 1, r + k - t + 1))
-                else:
-                    orbit.append((r + k - t + 1, r + k - t + 1 + h))
-            orbits.append(orbit)
-
-    # one block point, one point beyond the blocks: the block index decreases
-    for r, k in zip(offsets, blocks):
+            yield ("a", r1, h), [
+                (r + h - t + 1, r + k - t + 1) if t <= h
+                else (r + k - t + 1, r + k - t + 1 + h)
+                for t in range(1, k + 1)
+            ]
+        # one block point, one point beyond the blocks: the block index decreases
         for j in range(span + 1, n + 1):
-            orbit = [(r + 1, j)]
-            for t in range(k, 1, -1):
-                orbit.append((r + t, j))
-            orbits.append(orbit)
+            yield ("b", r1, j), [(r + _wrap(2 - t, k), j) for t in range(1, k + 1)]
 
     # pairs across two blocks: both coordinates decrease cyclically
     for a in range(len(blocks)):
@@ -85,18 +70,24 @@ def closed_form_orbits(spec: BlockSpec) -> OrbitTable:
             rp, rq = offsets[a], offsets[b]
             length = math.lcm(kp, kq)
             for v in range(1, math.gcd(kp, kq) + 1):
-                orbit = [
+                yield ("c", a + 1, b + 1, v), [
                     (rp + _wrap(2 - t, kp), rq + _wrap(1 - t + v, kq))
                     for t in range(1, length + 1)
                 ]
-                orbits.append(orbit)
 
     # pairs fixed pointwise
     for i in range(span + 1, n + 1):
         for j in range(i + 1, n + 1):
-            orbits.append([(i, j)])
+            yield ("d", i, j), [(i, j)]
 
-    return OrbitTable(torsion_element(spec), _canonical(orbits))
+
+def closed_form_orbits(spec: BlockSpec) -> OrbitTable:
+    """Orbit table of ``torsion_element(spec)`` from index formulas alone."""
+    rotated = []
+    for _, orbit in _families(spec):
+        k = orbit.index(min(orbit))
+        rotated.append(tuple(orbit[k:] + orbit[:k]))
+    return OrbitTable(torsion_element(spec), tuple(sorted(rotated, key=lambda o: o[0])))
 
 
 def relabeled_basis(spec: BlockSpec) -> dict[Pair, tuple]:
@@ -105,42 +96,21 @@ def relabeled_basis(spec: BlockSpec) -> dict[Pair, tuple]:
     Labels are ``("a", r, h, t)`` within block ``r``, ``("b", r, j, t)`` for
     block ``r`` against outside point ``j``, ``("c", p, q, v, t)`` across
     blocks, and ``("d", i, j)`` for fixed pairs.  Block numbers are 1-based.
+    ``t`` counts steps along the action, except that a ``"b"`` orbit runs
+    backwards through its block and ``t`` names the block point ``r + t``.
     """
-    n = spec.n
-    blocks = spec.blocks
-    offsets = spec.offsets()
-    span = spec.span()
     label: dict[Pair, tuple] = {}
 
     def put(pair: Pair, tag: tuple) -> None:
         if pair in label:
-            raise AssertionError(f"pair {pair} labeled twice")
+            raise VerificationError(f"pair {pair} labeled twice")
         label[pair] = tag
 
-    for r1, (r, k) in enumerate(zip(offsets, blocks), start=1):
-        for h in range(1, (k - 1) // 2 + 1):
-            for t in range(1, k + 1):
-                if t <= h:
-                    put((r + h - t + 1, r + k - t + 1), ("a", r1, h, t))
-                else:
-                    put((r + k - t + 1, r + k - t + 1 + h), ("a", r1, h, t))
-        for j in range(span + 1, n + 1):
-            for t in range(1, k + 1):
-                put((r + t, j), ("b", r1, j, t))
-    for a in range(len(blocks)):
-        for b in range(a + 1, len(blocks)):
-            kp, kq = blocks[a], blocks[b]
-            rp, rq = offsets[a], offsets[b]
-            length = math.lcm(kp, kq)
-            for v in range(1, math.gcd(kp, kq) + 1):
-                for t in range(1, length + 1):
-                    put(
-                        (rp + _wrap(2 - t, kp), rq + _wrap(1 - t + v, kq)),
-                        ("c", a + 1, b + 1, v, t),
-                    )
-    for i in range(span + 1, n + 1):
-        for j in range(i + 1, n + 1):
-            put((i, j), ("d", i, j))
-    if len(label) != n * (n - 1) // 2:
-        raise AssertionError("relabeling is not a bijection")
+    for prefix, orbit in _families(spec):
+        for t in range(1, len(orbit) + 1):
+            # a "b" orbit visits block point t at step _wrap(2 - t, k)
+            step = _wrap(2 - t, len(orbit)) if prefix[0] == "b" else t
+            put(orbit[step - 1], prefix if prefix[0] == "d" else prefix + (t,))
+    if len(label) != spec.n * (spec.n - 1) // 2:
+        raise VerificationError("relabeling is not a bijection")
     return label

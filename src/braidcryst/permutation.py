@@ -12,7 +12,9 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class Permutation:
@@ -210,3 +212,15 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic image order (n! elements)."""
     for images in itertools.permutations(range(1, n + 1)):
         yield Permutation(images)
+
+
+def closure(one: T, generators: Sequence[T]) -> set[T]:
+    """Every product of ``generators`` under ``*``, grown breadth first from
+    ``one``; terminates exactly when the generated group is finite."""
+    found = {one}
+    frontier = [one]
+    while frontier:
+        products = {a * g for a in frontier for g in generators}
+        frontier = [b for b in products if b not in found]
+        found.update(frontier)
+    return found

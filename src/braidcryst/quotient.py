@@ -30,7 +30,15 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .braidword import BraidWord, PairVector, crossing_counts, pair_offsets, pairs, pure_word
+from .braidword import (
+    BraidWord,
+    PairVector,
+    VerificationError,
+    crossing_counts,
+    pair_offsets,
+    pairs,
+    pure_word,
+)
 from .permutation import Permutation
 
 #: Returned by :func:`element_order` for elements of infinite order.
@@ -155,7 +163,7 @@ def normalize(word: BraidWord) -> QuotientElement:
     twice = [c - f for c, f in zip(counts, inverted)]
     half = [c >> 1 for c in twice]
     if sum(twice) != 2 * sum(half):  # floor halving drops 1 per odd entry
-        raise AssertionError("odd crossing count left after removing the lift")
+        raise VerificationError("odd crossing count left after removing the lift")
     return QuotientElement(p, PairVector(word.n, half))
 
 
@@ -218,7 +226,8 @@ def basis_orbits(g: QuotientElement) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Orbits of the conjugation action of ``g`` on the pair basis.
 
     Each orbit is listed following the action direction starting from its
-    lexicographically least pair; orbits are sorted by their first pair.
+    lexicographically least pair; orbits are sorted by their first pair.  Both
+    hold because each walk starts at the least pair not yet seen.
     """
     act = g.perm.inverse().pair_action
     seen: set[tuple[int, int]] = set()
@@ -233,9 +242,8 @@ def basis_orbits(g: QuotientElement) -> tuple[tuple[tuple[int, int], ...], ...]:
             orbit.append(q)
             seen.add(q)
             q = act(q)
-        k = orbit.index(min(orbit))
-        orbits.append(tuple(orbit[k:] + orbit[:k]))
-    return tuple(sorted(orbits, key=lambda o: o[0]))
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
 
 
 def to_word(g: QuotientElement) -> BraidWord:

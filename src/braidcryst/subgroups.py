@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .braidword import BraidWord, PairVector, pair_index, pairs, pure_generator_word
-from .permutation import Permutation
-from .quotient import QuotientElement, normalize, power
+from .braidword import BraidWord, PairVector, pair_images, pair_index, pairs, pure_generator_word
+from .permutation import Permutation, all_permutations, closure
+from .quotient import QuotientElement, basis_orbits, normalize, power
 from .torsion import torsion_witness
 from .zlinalg import abelianization, lattice_contains, solve_integer
 
@@ -26,19 +26,17 @@ def holonomy_matrix(p: Permutation) -> list[list[int]]:
     """Matrix of the pair representation on lex-ordered pair coordinates, as
     a list of rows: row ``Q`` has its 1 in column ``pair_action(p, Q)``.
     Matrices multiply along left-to-right composition of permutations."""
-    all_pairs = pairs(p.n)
-    size = len(all_pairs)
-    M = [[0] * size for _ in range(size)]
-    for row, q in enumerate(all_pairs):
-        M[row][pair_index(p.n, *p.pair_action(q))] = 1
+    images = pair_images(p)
+    M = [[0] * len(images) for _ in images]
+    for row, col in enumerate(images):
+        M[row][col] = 1
     return M
 
 
 def holonomy_det(p: Permutation) -> int:
     """Determinant of :func:`holonomy_matrix`, computed exactly as the sign
     of the induced pair permutation."""
-    all_pairs = pairs(p.n)
-    images = tuple(pair_index(p.n, *p.pair_action(q)) + 1 for q in all_pairs)
+    images = tuple(k + 1 for k in pair_images(p))
     return -1 if Permutation(images).parity() else 1
 
 
@@ -50,13 +48,9 @@ def pair_representation_faithful(n: int) -> bool:
         raise ValueError("need n >= 2")
     if n > 7:
         return True
-    import itertools
-
-    for images in itertools.permutations(range(1, n + 1)):
-        p = Permutation(images)
-        if p.is_identity():
-            continue
-        if all(p.pair_action(q) == q for q in pairs(n)):
+    fixed = list(range(n * (n - 1) // 2))
+    for p in all_permutations(n):
+        if not p.is_identity() and pair_images(p) == fixed:
             return False
     return True
 
@@ -81,17 +75,7 @@ class HolonomySubgroup:
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        found = {Permutation.identity(self.n)}
-        frontier = list(found)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in self.generators:
-                    b = a * g
-                    if b not in found:
-                        found.add(b)
-                        nxt.append(b)
-            frontier = nxt
+        found = closure(Permutation.identity(self.n), self.generators)
         return tuple(sorted(found, key=lambda p: p.images))
 
     @property
@@ -169,24 +153,10 @@ def sublattice_is_torsion_free(
         if not lattice_contains(gens, list(moved.coeffs)):
             raise ValueError("lattice is not invariant under the coset action")
 
-    orbits: list[tuple[tuple[int, int], ...]] = []
-    seen: set[tuple[int, int]] = set()
-    for start in pairs(coset_rep.n):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        q = p.pair_action(start)
-        while q != start:
-            orbit.append(q)
-            seen.add(q)
-            q = p.pair_action(q)
-        orbits.append(tuple(orbit))
-
     # rows: one equation per orbit, unknowns = multipliers of the generators
     rows = []
     t_values = []
-    for orbit in orbits:
+    for orbit in basis_orbits(coset_rep):
         q = len(orbit)
         share = m // q
         rows.append(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .braidword import BraidWord, PairVector
+from .braidword import BraidWord, PairVector, VerificationError
 from .permutation import Permutation
 from .quotient import (
     QuotientElement,
@@ -134,18 +134,15 @@ def is_torsion_offset(spec: BlockSpec, vec: PairVector) -> bool:
     """Does ``A^vec * torsion_element(spec)`` still have the full order?
 
     Holds exactly when ``vec`` sums to zero over every conjugation orbit of
-    the block element and vanishes on the pairs it fixes.
+    the block element; a pair it fixes is an orbit of its own, where ``vec``
+    must vanish.
     """
     if vec.n != spec.n:
         raise ValueError("degree mismatch")
-    for orbit in basis_orbits(torsion_element(spec)):
-        s = sum(vec.coefficient(i, j) for (i, j) in orbit)
-        if len(orbit) == 1:
-            if vec.coefficient(*orbit[0]) != 0:
-                return False
-        elif s != 0:
-            return False
-    return True
+    return all(
+        sum(vec.coefficient(i, j) for (i, j) in orbit) == 0
+        for orbit in basis_orbits(torsion_element(spec))
+    )
 
 
 def cyclic_torsion_element(n: int) -> QuotientElement:
@@ -180,7 +177,8 @@ def torsion_witness(p: Permutation) -> PairVector | None:
         if t_val:
             witness[orbit[0]] = -(t_val // share)
     N = PairVector.from_pairs(p.n, witness)
-    assert power(mul(pure(N), lift), m).is_identity()
+    if not power(mul(pure(N), lift), m).is_identity():
+        raise VerificationError(f"witness {N} does not give an element of order {m}")
     return N
 
 

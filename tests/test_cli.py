@@ -3,10 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import braidcryst
 from braidcryst.cli import main
 from braidcryst.quotient import QuotientElement
 
@@ -338,3 +344,31 @@ def test_order_verb_on_any_element_json(data):
         assert len([line for line in err if "error:" in line]) == 1
         if code == 1:
             assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "30000", "nf", ""],
+        ["--n", "3000", "holonomy", "()"],
+        ["--n", "30000", "torsion-witness", "(1,2,3)"],
+    ],
+    ids=["nf", "holonomy", "torsion-witness"],
+)
+def test_out_of_memory_gives_one_error_line(argv):
+    # a child limited to 600 MB of address space; each command sizes its
+    # work by --n and runs out of memory long before finishing
+    limit = 600 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(braidcryst.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-m", "braidcryst.cli", *argv],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == ["error: out of memory; try a smaller --n"]

@@ -1,6 +1,8 @@
 """Run the doctests embedded in the library modules."""
 
+import ast
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +33,10 @@ MODULES = [
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module, verbose=False)
     assert failures == 0
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_has_no_assert_statement(module):
+    # python -O strips assert statements, and with them any check they make
+    tree = ast.parse(Path(module.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -1,6 +1,7 @@
 """Pair-basis orbit tables: closed form vs direct enumeration."""
 
 import random
+from collections import Counter
 
 from braidcryst.braidword import BraidWord, pairs
 from braidcryst.orbits import closed_form_orbits, enumerate_orbits, relabeled_basis
@@ -87,6 +88,27 @@ def test_relabeled_basis_bijective():
             labels = relabeled_basis(spec)
             assert sorted(labels.keys()) == sorted(pairs(n))
             assert len(set(labels.values())) == len(labels)
+
+
+def test_relabeled_basis_names_orbit_coordinates():
+    # "b" labels name the block point, "d" labels the pair itself, and "a"
+    # and "c" labels count steps along the action, one per step
+    for n in range(3, 10):
+        for spec in iter_block_specs(n):
+            g = torsion_element(spec)
+            labels = relabeled_basis(spec)
+            pair_of = {label: P for P, label in labels.items()}
+            lengths = Counter(label[:-1] for label in labels.values())
+            for P, label in labels.items():
+                if label[0] == "b":
+                    _, r, j, t = label
+                    assert P == (spec.offsets()[r - 1] + t, j)
+                elif label[0] == "d":
+                    assert P == label[1:]
+                else:
+                    *prefix, t = label
+                    step = (*prefix, t % lengths[tuple(prefix)] + 1)
+                    assert action_on_basis(g, P) == pair_of[step]
 
 
 def test_frozen_seven_cycle_table():

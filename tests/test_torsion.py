@@ -31,6 +31,7 @@ from braidcryst.torsion import (
     torsion_element_word,
     torsion_witness,
 )
+from test_zlinalg import run_python
 
 
 def test_block_spec_validation():
@@ -204,3 +205,21 @@ def test_torsion_survives_embedding():
         g = torsion_element(BlockSpec(spec_n, blocks))
         h = embed(g, m)
         assert element_order(h) == element_order(g)
+
+
+def test_witness_check_survives_optimize():
+    # under -O every assert is gone; the witness check must still raise when
+    # the product it verifies (here a stubbed mul) is wrong
+    script = """
+import sys
+import braidcryst.torsion as t
+from braidcryst import Permutation, VerificationError
+p = Permutation.from_text(3, "(1,2,3)")
+print(sys.flags.optimize, t.torsion_witness(p) is not None)
+t.mul = lambda a, b: b
+try:
+    t.torsion_witness(p)
+except VerificationError:
+    print("raised")
+"""
+    assert run_python("-O", "-c", script) == ["1", "True", "raised"]
