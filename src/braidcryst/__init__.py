@@ -37,7 +37,7 @@ from .frobenius import (
     subgroup_closure,
 )
 from .orbits import OrbitTable, closed_form_orbits, enumerate_orbits, relabeled_basis
-from .permutation import CycleType, Permutation, all_permutations
+from .permutation import CycleType, Permutation, StabilizerChain, all_permutations
 from .quotient import (
     INFINITE,
     QuotientElement,
@@ -65,6 +65,7 @@ from .subgroups import (
     preimage_subgroup,
     sublattice_is_torsion_free,
     three_strand_catalog,
+    torsion_certificate,
 )
 from .torsion import (
     BlockSpec,

@@ -31,6 +31,7 @@ from .subgroups import (
     holonomy_matrix,
     is_bieberbach,
     three_strand_catalog,
+    torsion_certificate,
 )
 from .torsion import (
     BlockSpec,
@@ -192,11 +193,14 @@ def _cmd_holonomy(args) -> None:
 def _cmd_bieberbach(args) -> None:
     H = HolonomySubgroup.from_cycle_texts(_need_n(args), args.generators)
     verdict = is_bieberbach(H)
-    _emit(
-        args,
-        {"order": H.order, "bieberbach": verdict},
-        f"holonomy order {H.order}: {'Bieberbach' if verdict else 'has torsion'}",
-    )
+    payload = {"order": H.order, "bieberbach": verdict}
+    text = f"holonomy order {H.order}: {'Bieberbach' if verdict else 'has torsion'}"
+    if not verdict:
+        g = torsion_certificate(H)
+        q = g.perm.order()
+        payload["witness"] = {"order": q, "element": g.to_json()}
+        text += f"\nwitness of order {q}: {g}"
+    _emit(args, payload, text)
 
 
 def _cmd_b3_catalog(args) -> None:

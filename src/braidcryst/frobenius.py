@@ -267,7 +267,8 @@ def build_frobenius(N: PairVector | None = None) -> FrobeniusWitness:
 
 
 def subgroup_closure(*generators: QuotientElement) -> tuple[QuotientElement, ...]:
-    """All elements generated by the inputs (must be finite to terminate)."""
+    """All elements generated by the inputs; a ``ValueError`` past
+    ``CLOSURE_LIMIT`` elements (an infinite group, say)."""
     if not generators:
         raise ValueError("need at least one generator")
     found = closure(QuotientElement.identity(generators[0].n), generators)

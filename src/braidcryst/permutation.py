@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
+Images = bytes | tuple[int, ...]
 
 
 class Permutation:
@@ -214,13 +216,152 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
+CLOSURE_LIMIT = 50_000
+"""Most group elements :func:`closure` and ``HolonomySubgroup.elements`` list
+before refusing with a ``ValueError``; S_8 (40320 elements) still fits."""
+
+
 def closure(one: T, generators: Sequence[T]) -> set[T]:
     """Every product of ``generators`` under ``*``, grown breadth first from
-    ``one``; terminates exactly when the generated group is finite."""
+    ``one``.  Raises ``ValueError`` instead of holding more than
+    ``CLOSURE_LIMIT`` elements, so an infinite or very large group does not
+    run without bound."""
     found = {one}
     frontier = [one]
     while frontier:
-        products = {a * g for a in frontier for g in generators}
-        frontier = [b for b in products if b not in found]
-        found.update(frontier)
+        fresh = []
+        for b in (a * g for a in frontier for g in generators):
+            if b not in found:
+                if len(found) == CLOSURE_LIMIT:
+                    raise ValueError(
+                        f"the group has more than {CLOSURE_LIMIT} elements; refusing to list them"
+                    )
+                found.add(b)
+                fresh.append(b)
+        frontier = fresh
     return found
+
+
+class StabilizerChain:
+    """Base, strong generators and transversals of the group generated by
+    ``generators``, built by deterministic Schreier-Sims (Sims 1970; Seress,
+    *Permutation Group Algorithms*, 2003, section 4.2).
+
+    Level ``i`` holds the strong generators that fix ``base[:i]`` and the
+    orbit of ``base[i]`` under them, mapping each orbit point ``x`` to a
+    transversal element ``u`` with ``u(base[i]) == x`` and to ``u``'s inverse.
+    The group order is the product of the orbit lengths, and a permutation
+    lies in the group exactly when it sifts to the identity.  Inside the
+    chain points are 0-based and images are stored like ``Permutation``'s:
+    bytes below 256 points, where a product is one ``bytes.translate``, and
+    tuples otherwise.
+
+    >>> chain = StabilizerChain(4, [Permutation.from_text(4, "(1,2,3,4)"),
+    ...                             Permutation.from_text(4, "(1,3)")])
+    >>> chain.order(), Permutation.from_text(4, "(2,4)") in chain
+    (8, True)
+    """
+
+    def __init__(self, n: int, generators: Sequence[Permutation]) -> None:
+        self._pack = bytes if n < 256 else tuple
+        self._pad = bytes(range(n, 256)) if n < 256 else None
+        self.one = self._pack(range(n))
+        self.base: list[int] = []
+        self.gens: list[list[Images]] = []
+        self.orbits: list[dict[int, tuple[Images, Images]]] = []
+        for p in generators:
+            if p.n != n:
+                raise ValueError("degree mismatch")
+            if not p.is_identity():
+                self._add(self._images(p), 0)
+        # Holt's loop: once every Schreier generator of a level sifts through
+        # the levels below it, the chain is complete from that level down
+        i = len(self.base) - 1
+        while i >= 0:
+            i = self._check(i)
+
+    def _images(self, p: Permutation) -> Images:
+        return self._pack(x - 1 for x in p._images)
+
+    def _then(self, a: Images, b: Images) -> Images:
+        """Left-to-right product: ``a`` first, then ``b``."""
+        if self._pad is None:
+            return tuple([b[x] for x in a])
+        return a.translate(b + self._pad)
+
+    def _inverse(self, a: Images) -> Images:
+        out = [0] * len(a)
+        for i, x in enumerate(a):
+            out[x] = i
+        return self._pack(out)
+
+    def _add(self, g: Images, level: int) -> int:
+        """Put ``g`` among the strong generators of levels ``level .. j``,
+        where ``base[j]`` is the first base point from ``level`` on that ``g``
+        moves (a new level when it fixes them all), and return ``j``."""
+        j = level
+        while j < len(self.base) and g[self.base[j]] == self.base[j]:
+            j += 1
+        if j == len(self.base):
+            self.base.append(next(x for x, y in enumerate(g) if x != y))
+            self.gens.append([])
+            self.orbits.append({})
+        for i in range(level, j + 1):
+            self.gens[i].append(g)
+            self._orbit(i)
+        return j
+
+    def _orbit(self, i: int) -> None:
+        b = self.base[i]
+        orbit = {b: (self.one, self.one)}
+        points = [b]
+        for x in points:
+            u = orbit[x][0]
+            for s in self.gens[i]:
+                if s[x] not in orbit:
+                    v = self._then(u, s)
+                    orbit[s[x]] = (v, self._inverse(v))
+                    points.append(s[x])
+        self.orbits[i] = orbit
+
+    def _check(self, i: int) -> int:
+        """Sift each Schreier generator ``u_x * s * u_{s(x)}^-1`` of level ``i``
+        through the levels below.  Add the first nontrivial residue (Holt's
+        "strip, then add at levels i+1..j") and return ``j``, the level to
+        check next; return ``i - 1`` when every residue is trivial."""
+        orbit = self.orbits[i]
+        for x, (u, _) in orbit.items():
+            for s in self.gens[i]:
+                us = self._then(u, s)
+                if us != orbit[s[x]][0]:
+                    residue = self.sift(self._then(us, orbit[s[x]][1]), i + 1)
+                    if residue != self.one:
+                        return self._add(residue, i + 1)
+        return i - 1
+
+    def sift(self, g: Images, level: int = 0) -> Images:
+        """Strip ``g`` (0-based images) through the levels from ``level`` on
+        and return what is left; once the chain is complete, that is the
+        identity exactly when ``g`` lies in the stabilizer of ``base[:level]``."""
+        for i in range(level, len(self.base)):
+            coset = self.orbits[i].get(g[self.base[i]])
+            if coset is None:
+                return g
+            g = self._then(g, coset[1])
+        return g
+
+    def order(self) -> int:
+        return math.prod(len(orbit) for orbit in self.orbits)
+
+    def __contains__(self, p: Permutation) -> bool:
+        if p.n != len(self.one):
+            return False
+        return self.sift(self._images(p)) == self.one
+
+    def random_element(self, rng: random.Random) -> Permutation:
+        """A uniform element: one random transversal element per level, the
+        deepest level first."""
+        g = self.one
+        for orbit in reversed(self.orbits):
+            g = self._then(g, orbit[rng.choice(list(orbit))][0])
+        return Permutation(tuple(x + 1 for x in g))

@@ -11,21 +11,41 @@ preimages, and through an orbit-sum linear system for sublattice data.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .braidword import BraidWord, PairVector, pair_images, pair_index, pairs, pure_generator_word
-from .permutation import Permutation, all_permutations, closure
-from .quotient import QuotientElement, basis_orbits, normalize, power
+from .braidword import (
+    BraidWord,
+    PairVector,
+    VerificationError,
+    pair_images,
+    pair_index,
+    pairs,
+    pure_generator_word,
+)
+from .permutation import CLOSURE_LIMIT, Permutation, StabilizerChain, all_permutations, closure
+from .quotient import QuotientElement, basis_orbits, mul, normalize, power, pure
 from .torsion import torsion_witness
 from .zlinalg import abelianization, lattice_contains, solve_integer
+
+
+HOLONOMY_MATRIX_LIMIT = 2**24
+"""Most entries :func:`holonomy_matrix` builds: ``(n(n-1)/2)^2`` passes it
+from ``n = 92`` on."""
 
 
 def holonomy_matrix(p: Permutation) -> list[list[int]]:
     """Matrix of the pair representation on lex-ordered pair coordinates, as
     a list of rows: row ``Q`` has its 1 in column ``pair_action(p, Q)``.
     Matrices multiply along left-to-right composition of permutations."""
+    size = p.n * (p.n - 1) // 2
+    if size * size > HOLONOMY_MATRIX_LIMIT:
+        raise ValueError(
+            f"the holonomy matrix at n={p.n} has {size * size} entries, "
+            f"more than {HOLONOMY_MATRIX_LIMIT}; refusing to build it"
+        )
     images = pair_images(p)
     M = [[0] * len(images) for _ in images]
     for row, col in enumerate(images):
@@ -57,7 +77,8 @@ def pair_representation_faithful(n: int) -> bool:
 
 @dataclass(frozen=True)
 class HolonomySubgroup:
-    """A subgroup of S_n given by generators; elements are closed over."""
+    """A subgroup of S_n given by generators.  Order and membership come from
+    a stabilizer chain; ``elements`` lists the group when it is small enough."""
 
     n: int
     generators: tuple[Permutation, ...]
@@ -74,16 +95,30 @@ class HolonomySubgroup:
         )
 
     @cached_property
+    def chain(self) -> StabilizerChain:
+        """The stabilizer chain that membership and ``torsion_certificate``
+        sift through."""
+        return StabilizerChain(self.n, self.generators)
+
+    @cached_property
     def elements(self) -> tuple[Permutation, ...]:
+        if self.order > CLOSURE_LIMIT:
+            raise ValueError(
+                f"the group has {self.order} elements, more than {CLOSURE_LIMIT}; "
+                "refusing to list them"
+            )
         found = closure(Permutation.identity(self.n), self.generators)
         return tuple(sorted(found, key=lambda p: p.images))
 
-    @property
+    @cached_property
     def order(self) -> int:
-        return len(self.elements)
+        """The product of the transversal sizes of a stabilizer chain.  Only
+        the number is kept: a subgroup asked just its order, as in
+        :func:`is_bieberbach`, holds no chain."""
+        return StabilizerChain(self.n, self.generators).order()
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in set(self.elements)
+        return p in self.chain
 
 
 @dataclass(frozen=True)
@@ -113,15 +148,40 @@ def preimage_subgroup(H: HolonomySubgroup) -> PreimageDescriptor:
 
 
 def is_bieberbach(H: HolonomySubgroup) -> bool:
-    """Is the full preimage of ``H`` torsion free?  Equivalent to: no
-    non-identity element of ``H`` admits a torsion witness (so: no element
-    of odd order >= 3)."""
-    for p in H.elements:
-        if p.is_identity():
-            continue
-        if torsion_witness(p) is not None:
-            return False
-    return True
+    """Is the full preimage of ``H`` torsion free?
+
+    A permutation lifts to a torsion element exactly when its order is odd
+    (:func:`torsion_witness`), and by Cauchy's theorem ``H`` has an element
+    of odd order exactly when ``|H|`` is not a power of 2."""
+    order = H.order
+    return order & (order - 1) == 0
+
+
+def torsion_certificate(H: HolonomySubgroup) -> QuotientElement | None:
+    """An element of odd prime order ``q`` in the preimage of ``H``, checked
+    to satisfy ``g^q == 1``; ``None`` exactly when :func:`is_bieberbach`.
+
+    Uniform draws from the stabilizer chain, with a fixed seed so the answer
+    is the same on every run, stop at the first element whose order has an
+    odd prime factor ``q``; at least ``1/n`` of ``H`` qualifies
+    (Isaacs-Kantor-Spaltenstein, J. Algebra 176, 1995).  Its power of order
+    ``q`` is lifted by :func:`torsion_witness`."""
+    if is_bieberbach(H):
+        return None
+    rng = random.Random(0)
+    while True:
+        p = H.chain.random_element(rng)
+        m = p.order()
+        odd = m // (m & -m)
+        if odd > 1:
+            break
+    q = next(d for d in range(3, odd + 1, 2) if odd % d == 0)
+    p = p ** (m // q)
+    lift = QuotientElement(p, PairVector.zero(H.n))
+    w = torsion_witness(p)
+    if w is None or not power(mul(pure(w), lift), q).is_identity():
+        raise VerificationError(f"no element of order {q} over {p}")
+    return QuotientElement(p, w)
 
 
 def sublattice_is_torsion_free(

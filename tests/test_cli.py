@@ -3,10 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import braidcryst
 from braidcryst.cli import main
 from braidcryst.quotient import QuotientElement
+from braidcryst.subgroups import HolonomySubgroup
 
 
 def run(capsys, *argv):
@@ -147,7 +150,13 @@ def test_bieberbach_command(capsys):
     data = json.loads(out)
     assert data == {"order": 8, "bieberbach": True}
     code, out, _ = run(capsys, "--n", "3", "--json", "bieberbach", "(1,2,3)")
-    assert json.loads(out) == {"order": 3, "bieberbach": False}
+    assert json.loads(out) == {
+        "order": 3,
+        "bieberbach": False,
+        "witness": {"order": 3, "element": {"n": 3, "perm": [2, 3, 1], "vec": {"1,2": -1}}},
+    }
+    code, out, _ = run(capsys, "--n", "3", "bieberbach", "(1,2,3)")
+    assert out == "holonomy order 3: has torsion\nwitness of order 3: (1,2,3) | {1,2}:-1"
 
 
 def test_b3_catalog_command(capsys):
@@ -346,18 +355,9 @@ def test_order_verb_on_any_element_json(data):
             assert len(err) == 1 and err[0].startswith("error: ")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--n", "30000", "nf", ""],
-        ["--n", "3000", "holonomy", "()"],
-        ["--n", "30000", "torsion-witness", "(1,2,3)"],
-    ],
-    ids=["nf", "holonomy", "torsion-witness"],
-)
-def test_out_of_memory_gives_one_error_line(argv):
-    # a child limited to 600 MB of address space; each command sizes its
-    # work by --n and runs out of memory long before finishing
+def run_capped(*args):
+    """Run a fresh interpreter on this checkout of braidcryst, limited to
+    600 MB of address space."""
     limit = 600 * 2**20
 
     def cap():
@@ -366,9 +366,84 @@ def test_out_of_memory_gives_one_error_line(argv):
     src = str(Path(braidcryst.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    done = subprocess.run(
-        [sys.executable, "-m", "braidcryst.cli", *argv],
+    return subprocess.run(
+        [sys.executable, *args],
         env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "30000", "nf", ""],
+        ["--n", "30000", "torsion-witness", "(1,2,3)"],
+    ],
+    ids=["nf", "torsion-witness"],
+)
+def test_out_of_memory_gives_one_error_line(argv):
+    # each command sizes its work by --n and, in a child limited to 600 MB of
+    # address space, runs out of memory long before finishing
+    done = run_capped("-m", "braidcryst.cli", *argv)
     assert done.returncode == 1
     assert done.stderr.splitlines() == ["error: out of memory; try a smaller --n"]
+
+
+@pytest.mark.parametrize("n", [3000, 92], ids=["holonomy", "holonomy-least-refused"])
+def test_size_guard_gives_one_error_line(n):
+    # the dense holonomy matrix has (n(n-1)/2)^2 entries; past the fixed
+    # entry count the command refuses at once instead of filling memory
+    size = n * (n - 1) // 2
+    done = run_capped("-m", "braidcryst.cli", "--n", str(n), "holonomy", "()")
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        f"error: the holonomy matrix at n={n} has {size * size} entries, "
+        "more than 16777216; refusing to build it"
+    ]
+
+
+def test_bieberbach_decides_large_symmetric_groups(capsys):
+    for n, seconds in ((11, 1.0), (16, 2.0)):
+        full_cycle = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "--n", str(n), "bieberbach", full_cycle, "(1,2)")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out.splitlines()[0] == f"holonomy order {math.factorial(n)}: has torsion"
+        assert elapsed < seconds
+    assert math.factorial(11) == 39916800
+
+
+@pytest.mark.parametrize(
+    "n, generators",
+    [
+        (3, ["(1,2,3)"]),
+        (3, ["(1,2)", "(2,3)"]),
+        (6, ["(1,2,3)(4,5)", "(1,4)"]),
+        (9, ["(1,2,3,4,5,6,7,8,9)", "(1,2)"]),
+        (8, ["(1,2,3,4,5,6,7)", "(1,2,4)(3,6,5)"]),
+    ],
+    ids=["C3", "S3", "order-72", "S9", "F21"],
+)
+def test_bieberbach_witness_is_a_checked_odd_prime_order_element(capsys, n, generators):
+    argv = ["--n", str(n), "--json", "bieberbach", *generators]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["bieberbach"] is False
+    q = data["witness"]["order"]
+    assert q >= 3 and all(q % d for d in range(2, q))
+    g = QuotientElement.from_json(data["witness"]["element"])
+    assert g.perm.order() == q
+    assert g.perm in HolonomySubgroup.from_cycle_texts(n, generators)
+    # the element is pasted back into the order verb
+    code, order_out, _ = run(capsys, "--json", "order", json.dumps(data["witness"]["element"]))
+    assert code == 0 and json.loads(order_out) == {"order": q}
+    # the same witness on every run, whatever the hash seed
+    env = {**os.environ, "PYTHONHASHSEED": "123"}
+    src = str(Path(braidcryst.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    child = subprocess.run(
+        [sys.executable, "-m", "braidcryst.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0 and json.loads(child.stdout) == data

@@ -8,7 +8,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from braidcryst.permutation import CycleType, Permutation, all_permutations
+from braidcryst.permutation import (
+    CycleType,
+    Permutation,
+    StabilizerChain,
+    all_permutations,
+    closure,
+)
+from holonomy_oracle import generator_sets
 
 
 def test_identity():
@@ -176,3 +183,96 @@ def test_storage_keeps_tuple_semantics():
         p.images = (1,)
     with pytest.raises(ValueError):
         Permutation((1, 1))
+
+
+def sympy_order(n, gens):
+    from sympy.combinatorics import Permutation as SympyPermutation, PermutationGroup
+
+    if not gens:
+        return 1
+    group = PermutationGroup([SympyPermutation([i - 1 for i in g.images], size=n) for g in gens])
+    return int(group.order())
+
+
+def full_cycle(n):
+    return Permutation(tuple(range(2, n + 1)) + (1,))
+
+
+def test_chain_order_matches_sympy_and_closure():
+    # sympy's PermutationGroup.order() is a test-only oracle
+    sets = generator_sets(23, 300)
+    for n, gens in sets:
+        order = StabilizerChain(n, gens).order()
+        assert order == sympy_order(n, gens) == len(closure(Permutation.identity(n), gens))
+    assert len({StabilizerChain(n, gens).order() for n, gens in sets}) >= 12
+
+
+def test_chain_order_of_large_groups_matches_sympy():
+    def sylow_two(n):
+        # (1,2), (1,3)(2,4), (1,5)(2,6)(3,7)(4,8), ...: a Sylow 2-subgroup of S_n for n a power of 2
+        gens, b = [], 1
+        while 2 * b <= n:
+            gens.append(Permutation.from_cycles(n, [(i, i + b) for i in range(1, b + 1)]))
+            b *= 2
+        return gens
+
+    rng = random.Random(12)
+    cases = [
+        (11, [full_cycle(11), Permutation.transposition(11, 1, 2)]),
+        (16, [full_cycle(16), Permutation.transposition(16, 1, 2)]),
+        (13, [full_cycle(13), Permutation.from_text(13, "(1,2,3)")]),
+        (16, sylow_two(16)),
+        (32, sylow_two(32)),
+        (12, [Permutation.from_text(12, "(1,2,3)(4,5,6)(7,8,9)(10,11,12)"),
+              Permutation.from_text(12, "(1,4,7,10)(2,5,8,11)(3,6,9,12)")]),
+        (300, tuple_images_generators()),
+    ]
+    for _ in range(20):
+        n = rng.randint(10, 14)
+        cases.append((n, [Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(2)]))
+    for n, gens in cases:
+        assert StabilizerChain(n, gens).order() == sympy_order(n, gens)
+    assert StabilizerChain(11, cases[0][1]).order() == math.factorial(11) == 39916800
+    assert StabilizerChain(32, sylow_two(32)).order() == 2**31
+
+
+def tuple_images_generators():
+    # from 256 points on the chain stores tuples instead of bytes
+    return [Permutation.from_text(300, "(1,2,3)(298,299)"), Permutation.from_text(300, "(3,300,150)")]
+
+
+def test_chain_membership_on_tuple_images():
+    gens = tuple_images_generators()
+    chain = StabilizerChain(300, gens)
+    listed = closure(Permutation.identity(300), gens)
+    assert len(listed) == chain.order()
+    assert all(p in chain for p in listed)
+    rng = random.Random(4)
+    moved = [1, 2, 3, 150, 298, 299, 300]
+    for _ in range(200):
+        images = list(range(1, 301))
+        for a, b in zip(moved, rng.sample(moved, len(moved))):
+            images[a - 1] = b
+        p = Permutation(tuple(images))
+        assert (p in chain) == (p in listed)
+
+
+def test_chain_random_elements_are_uniform_members():
+    gens = [Permutation.from_text(4, "(1,2,3,4)"), Permutation.from_text(4, "(1,3)")]
+    chain = StabilizerChain(4, gens)
+    rng = random.Random(3)
+    draws = [chain.random_element(rng) for _ in range(800)]
+    assert all(p in chain for p in draws)
+    counts = {p: draws.count(p) for p in set(draws)}
+    assert len(counts) == 8 and min(counts.values()) >= 60
+
+
+def test_chain_of_no_generators_is_trivial():
+    for gens in ([], [Permutation.identity(5)]):
+        chain = StabilizerChain(5, gens)
+        assert chain.order() == 1 and chain.base == []
+        assert Permutation.identity(5) in chain
+        assert Permutation.transposition(5, 1, 2) not in chain
+    with pytest.raises(ValueError):
+        StabilizerChain(4, [Permutation.identity(5)])
+

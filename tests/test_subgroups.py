@@ -17,7 +17,11 @@ from braidcryst.subgroups import (
     preimage_subgroup,
     sublattice_is_torsion_free,
     three_strand_catalog,
+    torsion_certificate,
 )
+from holonomy_oracle import generator_sets, listing_is_bieberbach
+from test_cli import run_capped
+from test_zlinalg import run_python
 
 
 def matmul(A, B):
@@ -71,6 +75,94 @@ def test_holonomy_subgroup_enumeration():
     assert Permutation.from_text(4, "(1,2)") not in H
     S3 = HolonomySubgroup.from_cycle_texts(3, ["(1,2)", "(2,3)"])
     assert S3.order == 6
+
+
+def test_is_bieberbach_matches_the_listing_decision():
+    verdicts = []
+    for n, gens in generator_sets(23, 300):
+        H = HolonomySubgroup(n, gens)
+        verdicts.append(is_bieberbach(H))
+        assert verdicts[-1] == listing_is_bieberbach(HolonomySubgroup(n, gens))
+    assert 50 <= sum(verdicts) <= 250
+
+
+def test_membership_sifts_like_listing():
+    for n, gens in generator_sets(8, 40, max_n=5):
+        H = HolonomySubgroup(n, gens)
+        listed = set(H.elements)
+        assert all((p in H) == (p in listed) for p in all_permutations(n))
+        assert Permutation.identity(n + 1) not in H
+
+
+def test_torsion_certificate():
+    for n, gens in generator_sets(23, 300):
+        H = HolonomySubgroup(n, gens)
+        g = torsion_certificate(H)
+        if is_bieberbach(H):
+            assert g is None
+            continue
+        q = g.perm.order()
+        assert q >= 3 and all(q % d for d in range(2, q))
+        assert g.perm in H
+        assert element_order(g) == q
+        assert torsion_certificate(HolonomySubgroup(n, gens)) == g
+
+
+def test_certificate_check_survives_optimize():
+    # under -O every assert is gone; the certificate check must still raise
+    # when the product it verifies (here a stubbed mul) is wrong
+    script = """
+import sys
+import braidcryst.subgroups as s
+from braidcryst import VerificationError
+H = s.HolonomySubgroup.from_cycle_texts(5, ["(1,2,3)", "(4,5)"])
+print(sys.flags.optimize, s.torsion_certificate(H) is not None)
+s.mul = lambda a, b: b
+try:
+    s.torsion_certificate(H)
+except VerificationError:
+    print("raised")
+"""
+    assert run_python("-O", "-c", script) == ["1", "True", "raised"]
+
+
+@pytest.mark.parametrize(
+    "statement, message",
+    [
+        (
+            "from braidcryst.permutation import Permutation, closure\n"
+            "closure(Permutation.identity(10), [Permutation.from_text(10, '(1,2,3,4,5,6,7,8,9,10)'),"
+            " Permutation.from_text(10, '(1,2)')])",
+            "the group has more than 50000 elements; refusing to list them",
+        ),
+        (
+            "from braidcryst import PairVector, pure, subgroup_closure\n"
+            "subgroup_closure(pure(PairVector.basis(3, 1, 2)))",
+            "the group has more than 50000 elements; refusing to list them",
+        ),
+        (
+            "from braidcryst import HolonomySubgroup\n"
+            "HolonomySubgroup.from_cycle_texts(11, ['(1,2,3,4,5,6,7,8,9,10,11)', '(1,2)']).elements",
+            "the group has 39916800 elements, more than 50000; refusing to list them",
+        ),
+        (
+            "from braidcryst import Permutation, holonomy_matrix\n"
+            "holonomy_matrix(Permutation.identity(3000))",
+            "the holonomy matrix at n=3000 has 20236502250000 entries, "
+            "more than 16777216; refusing to build it",
+        ),
+    ],
+    ids=["closure", "subgroup_closure", "elements", "holonomy_matrix"],
+)
+def test_size_guards_raise_a_domain_error(statement, message):
+    # in a child limited to 600 MB of address space: each guard must fire
+    # with its own message, not end in an out-of-memory error
+    script = "try:\n" + "".join(f"    {line}\n" for line in statement.splitlines()) + (
+        "except ValueError as exc:\n    print(exc)\n"
+    )
+    done = run_capped("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [message]
 
 
 def test_sylow_two_subgroups_are_bieberbach():
