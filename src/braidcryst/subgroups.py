@@ -16,17 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .braidword import (
-    BraidWord,
-    PairVector,
-    VerificationError,
-    pair_images,
-    pair_index,
-    pairs,
-    pure_generator_word,
-)
+from .braidword import BraidWord, PairVector, pair_images, pair_index, pairs, pure_generator_word
 from .permutation import CLOSURE_LIMIT, Permutation, StabilizerChain, all_permutations, closure
-from .quotient import QuotientElement, basis_orbits, mul, normalize, power, pure
+from .quotient import QuotientElement, basis_orbits, normalize, power
 from .torsion import torsion_witness
 from .zlinalg import abelianization, lattice_contains, solve_integer
 
@@ -158,14 +150,14 @@ def is_bieberbach(H: HolonomySubgroup) -> bool:
 
 
 def torsion_certificate(H: HolonomySubgroup) -> QuotientElement | None:
-    """An element of odd prime order ``q`` in the preimage of ``H``, checked
-    to satisfy ``g^q == 1``; ``None`` exactly when :func:`is_bieberbach`.
+    """An element of odd prime order ``q`` in the preimage of ``H``; ``None``
+    exactly when :func:`is_bieberbach`.
 
     Uniform draws from the stabilizer chain, with a fixed seed so the answer
     is the same on every run, stop at the first element whose order has an
     odd prime factor ``q``; at least ``1/n`` of ``H`` qualifies
     (Isaacs-Kantor-Spaltenstein, J. Algebra 176, 1995).  Its power of order
-    ``q`` is lifted by :func:`torsion_witness`."""
+    ``q`` is lifted by :func:`torsion_witness`, which checks ``g^q == 1``."""
     if is_bieberbach(H):
         return None
     rng = random.Random(0)
@@ -177,11 +169,7 @@ def torsion_certificate(H: HolonomySubgroup) -> QuotientElement | None:
             break
     q = next(d for d in range(3, odd + 1, 2) if odd % d == 0)
     p = p ** (m // q)
-    lift = QuotientElement(p, PairVector.zero(H.n))
-    w = torsion_witness(p)
-    if w is None or not power(mul(pure(w), lift), q).is_identity():
-        raise VerificationError(f"no element of order {q} over {p}")
-    return QuotientElement(p, w)
+    return QuotientElement(p, torsion_witness(p))
 
 
 def sublattice_is_torsion_free(

@@ -109,15 +109,16 @@ def test_torsion_certificate():
 
 
 def test_certificate_check_survives_optimize():
-    # under -O every assert is gone; the certificate check must still raise
-    # when the product it verifies (here a stubbed mul) is wrong
+    # under -O every assert is gone; the witness check behind the certificate
+    # must still raise when the product it verifies (here a stubbed mul) is wrong
     script = """
 import sys
 import braidcryst.subgroups as s
+import braidcryst.torsion as t
 from braidcryst import VerificationError
 H = s.HolonomySubgroup.from_cycle_texts(5, ["(1,2,3)", "(4,5)"])
 print(sys.flags.optimize, s.torsion_certificate(H) is not None)
-s.mul = lambda a, b: b
+t.mul = lambda a, b: b
 try:
     s.torsion_certificate(H)
 except VerificationError:
