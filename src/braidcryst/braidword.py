@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .permutation import Permutation
+from .permutation import Permutation, Record
 
 
 class NotPureError(ValueError):
@@ -68,19 +67,21 @@ def pair_images(p: Permutation) -> list[int]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class BraidWord:
+class BraidWord(Record):
     """An unreduced word in the Artin generators of the n-strand braid group."""
 
+    __slots__ = _fields = ("n", "letters")
     n: int
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int, letters: tuple[int, ...]) -> None:
+        if n < 2:
             raise ValueError("need at least 2 strands")
-        for e in self.letters:
-            if e == 0 or abs(e) > self.n - 1:
-                raise ValueError(f"letter {e} out of range for n={self.n}")
+        for e in letters:
+            if e == 0 or abs(e) > n - 1:
+                raise ValueError(f"letter {e} out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
 
     @staticmethod
     def from_text(n: int, text: str) -> "BraidWord":

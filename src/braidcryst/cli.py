@@ -6,6 +6,9 @@ Elements are entered either as braid words ("2 -1 5 -4") or as element JSON
 human-readable text by default and stable JSON with --json.
 
 Exit codes: 0 success, 1 domain error (reported on stderr), 2 usage error.
+
+The engine is reached through the package, whose names load their modules
+on first use, so each verb loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -15,50 +18,23 @@ import json
 import random
 import sys
 
-from .braidword import BraidWord, PairVector
-from .conjugacy import (
-    are_conjugate,
-    conjugator_to_standard,
-    count_conjugacy_classes,
-    standard_form,
-)
-from .orbits import closed_form_orbits, enumerate_orbits
-from .permutation import Permutation
-from .quotient import INFINITE, QuotientElement, element_order, normalize
-from .subgroups import (
-    HolonomySubgroup,
-    holonomy_det,
-    holonomy_matrix,
-    is_bieberbach,
-    three_strand_catalog,
-    torsion_certificate,
-)
-from .torsion import (
-    BlockSpec,
-    abelian_realization,
-    block_cycle,
-    torsion_element,
-    torsion_element_word,
-    torsion_witness,
-)
-from . import frobenius as frob
-from .zlinalg import format_matrix
+import braidcryst as bc
 
 
 class UsageError(ValueError):
     pass
 
 
-def _element(args, text: str) -> QuotientElement:
+def _element(args, text: str) -> bc.QuotientElement:
     text = text.strip()
     if args.element_json or text.startswith("{"):
-        g = QuotientElement.from_json(json.loads(text))
+        g = bc.QuotientElement.from_json(json.loads(text))
         if args.n is not None and args.n != g.n:
             raise ValueError(f"--n {args.n} conflicts with element n={g.n}")
         return g
     if args.n is None:
         raise UsageError("--n is required for word input")
-    return normalize(BraidWord.from_text(args.n, text))
+    return bc.normalize(bc.BraidWord.from_text(args.n, text))
 
 
 def _strand_count(text: str) -> int:
@@ -85,7 +61,7 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _element_out(args, g: QuotientElement) -> None:
+def _element_out(args, g: bc.QuotientElement) -> None:
     _emit(args, g.to_json(), str(g))
 
 
@@ -112,36 +88,36 @@ def _cmd_pow(args) -> None:
 
 
 def _cmd_order(args) -> None:
-    k = element_order(_element(args, args.element))
-    value = "infinite" if k is INFINITE else int(k)
-    _emit(args, {"order": None if k is INFINITE else int(k)}, str(value))
+    k = bc.element_order(_element(args, args.element))
+    value = "infinite" if k is bc.INFINITE else int(k)
+    _emit(args, {"order": None if k is bc.INFINITE else int(k)}, str(value))
 
 
 def _cmd_delta(args) -> None:
-    spec = BlockSpec.from_text(_need_n(args), args.blocks)
+    spec = bc.BlockSpec.from_text(_need_n(args), args.blocks)
     if args.emit_word:
-        word = torsion_element_word(spec)
+        word = bc.torsion_element_word(spec)
         _emit(args, {"word": str(word)}, str(word))
     else:
-        _element_out(args, torsion_element(spec))
+        _element_out(args, bc.torsion_element(spec))
 
 
 def _cmd_alpha(args) -> None:
-    _element_out(args, block_cycle(args.r, args.k, _need_n(args)))
+    _element_out(args, bc.block_cycle(args.r, args.k, _need_n(args)))
 
 
 def _cmd_orbits(args) -> None:
     if args.blocks is not None:
-        table = closed_form_orbits(BlockSpec.from_text(_need_n(args), args.blocks))
+        table = bc.closed_form_orbits(bc.BlockSpec.from_text(_need_n(args), args.blocks))
     elif args.element is not None:
-        table = enumerate_orbits(_element(args, args.element))
+        table = bc.enumerate_orbits(_element(args, args.element))
     else:
         raise UsageError("orbits needs an element or --blocks")
     _emit(args, table.to_json(), _orbit_text(table))
 
 
 def _cmd_conjugate_test(args) -> None:
-    verdict, witness = are_conjugate(
+    verdict, witness = bc.are_conjugate(
         _element(args, args.left), _element(args, args.right)
     )
     payload = {
@@ -156,8 +132,8 @@ def _cmd_conjugate_test(args) -> None:
 
 def _cmd_conjugator(args) -> None:
     g = _element(args, args.element)
-    c = conjugator_to_standard(g)
-    _, spec = standard_form(g)
+    c = bc.conjugator_to_standard(g)
+    _, spec = bc.standard_form(g)
     _emit(
         args,
         {"conjugator": c.to_json(), "blocks": str(spec)},
@@ -166,8 +142,8 @@ def _cmd_conjugator(args) -> None:
 
 
 def _cmd_torsion_witness(args) -> None:
-    p = Permutation.from_text(_need_n(args), args.permutation)
-    w = torsion_witness(p)
+    p = bc.Permutation.from_text(_need_n(args), args.permutation)
+    w = bc.torsion_witness(p)
     _emit(
         args,
         {"witness": w.to_json() if w is not None else None},
@@ -176,27 +152,27 @@ def _cmd_torsion_witness(args) -> None:
 
 
 def _cmd_count_classes(args) -> None:
-    count = count_conjugacy_classes(_need_n(args), args.k)
+    count = bc.count_conjugacy_classes(_need_n(args), args.k)
     _emit(args, {"classes": count}, str(count))
 
 
 def _cmd_holonomy(args) -> None:
-    p = Permutation.from_text(_need_n(args), args.permutation)
-    M = holonomy_matrix(p)
+    p = bc.Permutation.from_text(_need_n(args), args.permutation)
+    M = bc.holonomy_matrix(p)
     _emit(
         args,
-        {"matrix": M, "det": holonomy_det(p)},
-        f"{format_matrix(M)}\ndet: {holonomy_det(p)}",
+        {"matrix": M, "det": bc.holonomy_det(p)},
+        f"{bc.zlinalg.format_matrix(M)}\ndet: {bc.holonomy_det(p)}",
     )
 
 
 def _cmd_bieberbach(args) -> None:
-    H = HolonomySubgroup.from_cycle_texts(_need_n(args), args.generators)
-    verdict = is_bieberbach(H)
+    H = bc.HolonomySubgroup.from_cycle_texts(_need_n(args), args.generators)
+    verdict = bc.is_bieberbach(H)
     payload = {"order": H.order, "bieberbach": verdict}
     text = f"holonomy order {H.order}: {'Bieberbach' if verdict else 'has torsion'}"
     if not verdict:
-        g = torsion_certificate(H)
+        g = bc.torsion_certificate(H)
         q = g.perm.order()
         payload["witness"] = {"order": q, "element": g.to_json()}
         text += f"\nwitness of order {q}: {g}"
@@ -204,7 +180,7 @@ def _cmd_bieberbach(args) -> None:
 
 
 def _cmd_b3_catalog(args) -> None:
-    report = three_strand_catalog()
+    report = bc.three_strand_catalog()
     lines = [
         f"{entry['name']}: holonomy order {entry['holonomy_order']}, "
         f"abelianization {entry['abelianization']}, "
@@ -215,10 +191,10 @@ def _cmd_b3_catalog(args) -> None:
 
 
 def _cmd_abelian_realization(args) -> None:
-    spec = BlockSpec.from_text(_need_n(args), args.blocks)
-    gens = abelian_realization(spec)
+    spec = bc.BlockSpec.from_text(_need_n(args), args.blocks)
+    gens = bc.abelian_realization(spec)
     payload = [
-        {"element": g.to_json(), "order": int(element_order(g))} for g in gens
+        {"element": g.to_json(), "order": int(bc.element_order(g))} for g in gens
     ]
     _emit(args, {"generators": payload}, "\n".join(str(g) for g in gens))
 
@@ -233,12 +209,12 @@ def _parse_r(text: str) -> tuple[int, int, int, int, int, int]:
 def _cmd_frobenius(args) -> None:
     if args.subcommand == "verify":
         N = (
-            PairVector.from_json(frob.N_STRANDS, json.loads(args.offset_json))
+            bc.PairVector.from_json(bc.frobenius.N_STRANDS, json.loads(args.offset_json))
             if args.offset_json
             else None
         )
-        witness = frob.build_frobenius(N)
-        closure = frob.subgroup_closure(witness.x, witness.v)
+        witness = bc.build_frobenius(N)
+        closure = bc.subgroup_closure(witness.x, witness.v)
         payload = witness.to_json()
         payload["subgroup_order"] = len(closure)
         text = "\n".join(
@@ -247,7 +223,7 @@ def _cmd_frobenius(args) -> None:
         ) + f"\nsubgroup order: {len(closure)}"
         _emit(args, payload, text)
     elif args.subcommand == "family":
-        family = frob.solve_family()
+        family = bc.solve_family()
         payload = {
             "rank": family.rank,
             "particular": family.particular.to_json(),
@@ -258,15 +234,15 @@ def _cmd_frobenius(args) -> None:
             samples = []
             for _ in range(args.sample):
                 r = tuple(rng.randint(-3, 3) for _ in range(6))
-                N = frob.family_member(r)
-                frob.build_frobenius(N)
+                N = bc.family_member(r)
+                bc.build_frobenius(N)
                 samples.append({"r": list(r), "offset": N.to_json()})
             payload["samples"] = samples
         text = f"rank {family.rank}, particular {family.particular}"
         _emit(args, payload, text)
     else:  # conjugator
-        N = frob.family_member(_parse_r(args.r))
-        theta = frob.conjugator_between(N)
+        N = bc.family_member(_parse_r(args.r))
+        theta = bc.conjugator_between(N)
         payload = {"offset": N.to_json(), "theta": theta.to_json()}
         _emit(args, payload, f"offset: {N}\ntheta: {theta}")
 

@@ -16,12 +16,11 @@ witness on more strands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .braidword import BraidWord, PairVector, VerificationError, pair_images, pair_index
 from .conjugacy import conjugator_to_standard
-from .permutation import Permutation, closure
+from .permutation import Permutation, Record, closure
 from .quotient import (
     QuotientElement,
     basis_orbits,
@@ -137,10 +136,10 @@ def recover_parameters(N: PairVector) -> tuple[int, int, int, int, int, int]:
     return r
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(Record):
     """Integer solution set of the repair system: ``particular + Z-span(kernel)``."""
 
+    _fields = ("particular", "kernel")
     particular: PairVector
     kernel: tuple[PairVector, ...]
 
@@ -222,10 +221,10 @@ def solve_family() -> SolutionFamily:
     )
 
 
-@dataclass(frozen=True)
-class FrobeniusWitness:
+class FrobeniusWitness(Record):
     """A verified generating pair of an order-21 Frobenius subgroup."""
 
+    _fields = ("x", "v", "certificate")
     x: QuotientElement
     v: QuotientElement
     certificate: tuple[dict, ...]
@@ -306,8 +305,7 @@ def conjugator_between(N: PairVector) -> PairVector:
     return theta
 
 
-@dataclass(frozen=True)
-class StandardizationResult:
+class StandardizationResult(Record):
     """Conjugation of a Frobenius generating pair onto the reference pair.
 
     ``conjugate(g3, conjugator) == x`` and
@@ -315,6 +313,8 @@ class StandardizationResult:
     so the image subgroup is exactly ``<x, v0>``.
     """
 
+    _fields = ("conjugator", "chain", "power", "offset", "parameters", "branch",
+               "image_x", "image_y")
     conjugator: QuotientElement
     chain: tuple[tuple[str, QuotientElement], ...]
     power: int

@@ -13,18 +13,18 @@ the lexicographically least pair, and sorted by that pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .braidword import VerificationError
+from .permutation import Record
 from .quotient import QuotientElement, basis_orbits
 from .torsion import BlockSpec, torsion_element
 
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class OrbitTable:
+class OrbitTable(Record):
+    _fields = ("element", "orbits")
     element: QuotientElement
     orbits: tuple[tuple[Pair, ...], ...]
 

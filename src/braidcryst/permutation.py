@@ -12,7 +12,6 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -187,16 +186,64 @@ class Permutation:
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
 
 
-@dataclass(frozen=True, eq=False)
-class CycleType:
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in ``_fields``.  They are bound positionally
+    or by keyword, and equality (same class, equal fields), hashing, ``repr``
+    and pickling go by them in that order; no attribute can be set after
+    construction.  A subclass that validates its fields writes its own
+    ``__init__`` and binds them with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        values = {**dict(zip(names, args)), **kwargs}
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class CycleType(Record):
     """Multiset of nontrivial cycle lengths; equality ignores the degree."""
 
+    __slots__ = _fields = ("parts", "n")
     parts: tuple[int, ...]
     n: int
 
-    def __post_init__(self) -> None:
-        if tuple(sorted(self.parts, reverse=True)) != self.parts:
+    def __init__(self, parts: tuple[int, ...], n: int) -> None:
+        if tuple(sorted(parts, reverse=True)) != parts:
             raise ValueError("parts must be sorted non-increasing")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "n", n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycleType):
@@ -242,6 +289,14 @@ def closure(one: T, generators: Sequence[T]) -> set[T]:
     return found
 
 
+CHAIN_WORK_LIMIT = 10_000_000
+"""Most work :class:`StabilizerChain` does before refusing with a
+``ValueError``, counted as the degree times the number of Schreier
+generators sifted and orbit points built.  On a 2-core VM, S_44 (about
+9.5 million) still fits, in 3.4 s; S_48 is refused after 3.3 s and S_1000
+after 2.1 s."""
+
+
 class StabilizerChain:
     """Base, strong generators and transversals of the group generated by
     ``generators``, built by deterministic Schreier-Sims (Sims 1970; Seress,
@@ -251,7 +306,8 @@ class StabilizerChain:
     orbit of ``base[i]`` under them, mapping each orbit point ``x`` to a
     transversal element ``u`` with ``u(base[i]) == x`` and to ``u``'s inverse.
     The group order is the product of the orbit lengths, and a permutation
-    lies in the group exactly when it sifts to the identity.  Inside the
+    lies in the group exactly when it sifts to the identity.  Construction
+    raises ``ValueError`` past ``CHAIN_WORK_LIMIT``.  Inside the
     chain points are 0-based and images are stored like ``Permutation``'s:
     bytes below 256 points, where a product is one ``bytes.translate``, and
     tuples otherwise.
@@ -269,6 +325,7 @@ class StabilizerChain:
         self.base: list[int] = []
         self.gens: list[list[Images]] = []
         self.orbits: list[dict[int, tuple[Images, Images]]] = []
+        self._work = 0
         for p in generators:
             if p.n != n:
                 raise ValueError("degree mismatch")
@@ -311,6 +368,14 @@ class StabilizerChain:
             self._orbit(i)
         return j
 
+    def _spend(self, steps: int) -> None:
+        self._work += steps * len(self.one)
+        if self._work > CHAIN_WORK_LIMIT:
+            raise ValueError(
+                f"the stabilizer chain at n={len(self.one)} needs more than "
+                f"{CHAIN_WORK_LIMIT} steps of work; refusing to finish it"
+            )
+
     def _orbit(self, i: int) -> None:
         b = self.base[i]
         orbit = {b: (self.one, self.one)}
@@ -323,6 +388,7 @@ class StabilizerChain:
                     orbit[s[x]] = (v, self._inverse(v))
                     points.append(s[x])
         self.orbits[i] = orbit
+        self._spend(len(orbit))
 
     def _check(self, i: int) -> int:
         """Sift each Schreier generator ``u_x * s * u_{s(x)}^-1`` of level ``i``
@@ -334,6 +400,7 @@ class StabilizerChain:
             for s in self.gens[i]:
                 us = self._then(u, s)
                 if us != orbit[s[x]][0]:
+                    self._spend(1)
                     residue = self.sift(self._then(us, orbit[s[x]][1]), i + 1)
                     if residue != self.one:
                         return self._add(residue, i + 1)

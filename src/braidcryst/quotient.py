@@ -27,7 +27,6 @@ Conjugation acts on the lattice through pairs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 from .braidword import (
@@ -39,7 +38,7 @@ from .braidword import (
     pairs,
     pure_word,
 )
-from .permutation import Permutation
+from .permutation import Permutation, Record
 
 #: Returned by :func:`element_order` for elements of infinite order.
 INFINITE = math.inf
@@ -66,16 +65,27 @@ def canonical_lift(p: Permutation) -> BraidWord:
     return BraidWord(p.n, tuple(letters))
 
 
-@dataclass(frozen=True, slots=True)
-class QuotientElement:
+class QuotientElement(Record):
     """Normal form ``A^vec * L(perm)``."""
 
+    __slots__ = _fields = ("perm", "vec")
     perm: Permutation
     vec: PairVector
 
-    def __post_init__(self) -> None:
-        if self.perm.n != self.vec.n:
+    def __init__(self, perm: Permutation, vec: PairVector) -> None:
+        if perm.n != vec.n:
             raise ValueError("degree mismatch between permutation and vector")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "vec", vec)
+
+    # the group law builds and compares elements at every step
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.perm == other.perm and self.vec == other.vec
+
+    def __hash__(self) -> int:
+        return hash((self.perm, self.vec))
 
     @property
     def n(self) -> int:

@@ -7,20 +7,20 @@ the pair representation.  A preimage (or a finite-index subgroup of one given
 by a sublattice and coset data) is Bieberbach exactly when it is torsion
 free, and torsion is decidable: through ``torsion_witness`` for full
 preimages, and through an orbit-sum linear system for sublattice data.
+
+``torsion`` and ``zlinalg`` are imported by the functions that use them, so
+deciding a preimage loads neither of them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .braidword import BraidWord, PairVector, pair_images, pair_index, pairs, pure_generator_word
-from .permutation import CLOSURE_LIMIT, Permutation, StabilizerChain, all_permutations, closure
+from .permutation import CLOSURE_LIMIT, Permutation, Record, StabilizerChain, all_permutations, closure
 from .quotient import QuotientElement, basis_orbits, normalize, power
-from .torsion import torsion_witness
-from .zlinalg import abelianization, lattice_contains, solve_integer
 
 
 HOLONOMY_MATRIX_LIMIT = 2**24
@@ -67,18 +67,20 @@ def pair_representation_faithful(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HolonomySubgroup:
+class HolonomySubgroup(Record):
     """A subgroup of S_n given by generators.  Order and membership come from
     a stabilizer chain; ``elements`` lists the group when it is small enough."""
 
+    _fields = ("n", "generators")
     n: int
     generators: tuple[Permutation, ...]
 
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if g.n != self.n:
+    def __init__(self, n: int, generators: tuple[Permutation, ...]) -> None:
+        for g in generators:
+            if g.n != n:
                 raise ValueError("degree mismatch among generators")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "generators", generators)
 
     @staticmethod
     def from_cycle_texts(n: int, texts: Sequence[str]) -> "HolonomySubgroup":
@@ -113,13 +115,13 @@ class HolonomySubgroup:
         return p in self.chain
 
 
-@dataclass(frozen=True)
-class PreimageDescriptor:
+class PreimageDescriptor(Record):
     """The preimage of a permutation subgroup in the quotient: a
     crystallographic group of dimension ``n(n-1)/2`` with holonomy ``H``.
     ``generator_matrices`` holds one :func:`holonomy_matrix` (a list of
     rows) per generator of ``H``."""
 
+    _fields = ("subgroup", "lattice_rank", "generator_matrices")
     subgroup: HolonomySubgroup
     lattice_rank: int
     generator_matrices: tuple[list[list[int]], ...]
@@ -158,6 +160,8 @@ def torsion_certificate(H: HolonomySubgroup) -> QuotientElement | None:
     odd prime factor ``q``; at least ``1/n`` of ``H`` qualifies
     (Isaacs-Kantor-Spaltenstein, J. Algebra 176, 1995).  Its power of order
     ``q`` is lifted by :func:`torsion_witness`, which checks ``g^q == 1``."""
+    from .torsion import torsion_witness
+
     if is_bieberbach(H):
         return None
     rng = random.Random(0)
@@ -186,6 +190,8 @@ def sublattice_is_torsion_free(
     action with size q, ``(m/q) * orbit_sum(t) = -j * orbit_value(c^m)`` has
     an integer solution with ``t`` in ``L1``.
     """
+    from .zlinalg import lattice_contains, solve_integer
+
     p = coset_rep.perm
     m = p.order()
     if m < 2 or any(m % d == 0 for d in range(2, m)):
@@ -314,6 +320,8 @@ def three_strand_catalog() -> dict:
     three-cycle preimage are also decided: index-three lattice scaling makes
     a torsion-free (Bieberbach) group, index-two scaling does not.
     """
+    from .zlinalg import abelianization
+
     report: dict = {"n": 3, "subgroups": []}
     for data in _CATALOG_DATA:
         H = HolonomySubgroup.from_cycle_texts(3, data["subgroup"])

@@ -20,10 +20,9 @@ tests check exhaustively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .braidword import BraidWord, PairVector, VerificationError
-from .permutation import Permutation
+from .permutation import Permutation, Record
 from .quotient import (
     QuotientElement,
     basis_orbits,
@@ -34,21 +33,23 @@ from .quotient import (
 )
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(Record):
     """Ascending odd block lengths ``k1 <= ... <= ks``, each >= 3, fitting in n."""
 
+    _fields = ("n", "blocks")
     n: int
     blocks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for k in self.blocks:
+    def __init__(self, n: int, blocks: tuple[int, ...]) -> None:
+        for k in blocks:
             if k < 3 or k % 2 == 0:
                 raise ValueError(f"block length {k} is not an odd integer >= 3")
-        if tuple(sorted(self.blocks)) != self.blocks:
+        if tuple(sorted(blocks)) != blocks:
             raise ValueError("blocks must be sorted ascending")
-        if sum(self.blocks) > self.n:
+        if sum(blocks) > n:
             raise ValueError("blocks do not fit in the strand count")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
 
     @staticmethod
     def from_text(n: int, text: str) -> "BlockSpec":

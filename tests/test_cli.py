@@ -1,6 +1,7 @@
 """The braidcryst command line front end."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -447,3 +448,67 @@ def test_bieberbach_witness_is_a_checked_odd_prime_order_element(capsys, n, gene
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 0 and json.loads(child.stdout) == data
+
+
+def test_bieberbach_chain_guard_gives_one_error_line():
+    # without a limit, Schreier-Sims on S_1000 ran past 120 s; the fixed
+    # work limit refuses it within seconds, inside the 600 MB cap
+    full_cycle = "(" + ",".join(map(str, range(1, 1001))) + ")"
+    start = time.perf_counter()
+    done = run_capped("-m", "braidcryst.cli", "--n", "1000", "bieberbach", full_cycle, "(1,2)")
+    assert time.perf_counter() - start < 10
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == [
+        "error: the stabilizer chain at n=1000 needs more than 10000000 steps of work; "
+        "refusing to finish it"
+    ]
+
+
+COLD_START = """
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("braidcryst."))
+
+import braidcryst
+print(loaded())
+from braidcryst import cli
+cli.main(["--n", "3", "--json", "nf", "1 2"])
+print(loaded(), "dataclasses" in sys.modules, "inspect" in sys.modules)
+# a loaded module's public names are all bound, used or not
+print(sorted({"Permutation", "pairs", "mul", "torsion_witness"} & set(vars(braidcryst))))
+# a Bieberbach answer needs neither torsion nor zlinalg
+cli.main(["--n", "4", "bieberbach", "(1,2)", "(3,4)"])
+print(loaded())
+print(braidcryst.conjugacy.__name__, "braidcryst.conjugacy" in loaded())
+"""
+
+
+def test_cold_start_loads_only_what_the_verb_runs():
+    done = run_capped("-c", COLD_START)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]",
+        '{"n": 3, "perm": [3, 1, 2], "vec": {}}',
+        "['braidcryst.braidword', 'braidcryst.cli', 'braidcryst.permutation', "
+        "'braidcryst.quotient'] False False",
+        "['Permutation', 'mul', 'pairs']",
+        "holonomy order 4: Bieberbach",
+        "['braidcryst.braidword', 'braidcryst.cli', 'braidcryst.permutation', "
+        "'braidcryst.quotient', 'braidcryst.subgroups']",
+        "braidcryst.conjugacy True",
+    ]
+
+
+def test_package_names_are_the_submodules_objects():
+    for module, names in braidcryst.EXPORTS.items():
+        home = importlib.import_module(f"braidcryst.{module}")
+        for name in names:
+            assert getattr(braidcryst, name) is getattr(home, name), name
+    assert sorted(braidcryst.__all__) == sorted(n for names in braidcryst.EXPORTS.values() for n in names)
+    namespace = {}
+    exec("from braidcryst import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(braidcryst.__all__)
+    assert {*braidcryst.__all__, *braidcryst.EXPORTS, "cli"} <= set(dir(braidcryst))
+    with pytest.raises(AttributeError):
+        braidcryst.no_such_name

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import braidcryst
 import braidcryst.braidword
+import braidcryst.cli
 import braidcryst.conjugacy
 import braidcryst.frobenius
 import braidcryst.orbits
@@ -35,8 +37,24 @@ def test_module_doctests(module):
     assert failures == 0
 
 
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_module_has_no_assert_statement(module):
     # python -O strips assert statements, and with them any check they make
-    tree = ast.parse(Path(module.__file__).read_text())
+    tree = _tree(module)
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("module", [*MODULES, braidcryst, braidcryst.cli], ids=lambda m: m.__name__)
+def test_module_does_not_import_dataclasses(module):
+    # dataclasses (with inspect) costs a CLI call more than most verbs' work
+    imported = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert {name.split(".")[0] for name in imported} & {"dataclasses", "inspect"} == set()

@@ -1,0 +1,97 @@
+"""The immutable value classes: fields, equality, hashing, repr, pickling."""
+
+import pickle
+import re
+
+import pytest
+
+from braidcryst.braidword import BraidWord, PairVector
+from braidcryst.frobenius import FrobeniusWitness, SolutionFamily, StandardizationResult
+from braidcryst.orbits import OrbitTable
+from braidcryst.permutation import CycleType, Permutation
+from braidcryst.quotient import QuotientElement
+from braidcryst.subgroups import HolonomySubgroup, PreimageDescriptor
+from braidcryst.torsion import BlockSpec
+
+E = QuotientElement.identity(2)
+E_TEXT = "QuotientElement(perm=Permutation(images=(1, 2)), vec=PairVector(n=2, coeffs=(0,)))"
+H = HolonomySubgroup(3, (Permutation((2, 3, 1)),))
+H_TEXT = "HolonomySubgroup(n=3, generators=(Permutation(images=(2, 3, 1)),))"
+
+# class, fields of an instance, its repr, one field changed, constructions
+# that must fail with the given error text; the repr strings are those the
+# earlier dataclass versions of these classes printed
+CASES = [
+    (CycleType, {"parts": (3, 2), "n": 5}, "CycleType(parts=(3, 2), n=5)",
+     {"parts": (3,)}, [({"parts": (2, 3), "n": 5}, "parts must be sorted non-increasing")]),
+    (BraidWord, {"n": 3, "letters": (1, -2)}, "BraidWord(n=3, letters=(1, -2))",
+     {"letters": (1,)},
+     [({"n": 1, "letters": ()}, "need at least 2 strands"),
+      ({"n": 3, "letters": (3,)}, "letter 3 out of range for n=3"),
+      ({"n": 3, "letters": (0,)}, "letter 0 out of range for n=3")]),
+    (QuotientElement, {"perm": Permutation((2, 1, 3)), "vec": PairVector(3, (1, 0, -1))},
+     "QuotientElement(perm=Permutation(images=(2, 1, 3)), vec=PairVector(n=3, coeffs=(1, 0, -1)))",
+     {"vec": PairVector.zero(3)},
+     [({"perm": Permutation((2, 1)), "vec": PairVector.zero(3)},
+       "degree mismatch between permutation and vector")]),
+    (BlockSpec, {"n": 7, "blocks": (3, 3)}, "BlockSpec(n=7, blocks=(3, 3))", {"n": 8},
+     [({"n": 7, "blocks": (4,)}, "block length 4 is not an odd integer >= 3"),
+      ({"n": 9, "blocks": (5, 3)}, "blocks must be sorted ascending"),
+      ({"n": 5, "blocks": (3, 3)}, "blocks do not fit in the strand count")]),
+    (OrbitTable, {"element": E, "orbits": (((1, 2),),)},
+     f"OrbitTable(element={E_TEXT}, orbits=(((1, 2),),))", {"orbits": ()}, []),
+    (HolonomySubgroup, {"n": 3, "generators": (Permutation((2, 3, 1)),)}, H_TEXT,
+     {"generators": ()},
+     [({"n": 4, "generators": (Permutation((2, 1)),)}, "degree mismatch among generators")]),
+    (PreimageDescriptor, {"subgroup": H, "lattice_rank": 3, "generator_matrices": ((0, 1),)},
+     f"PreimageDescriptor(subgroup={H_TEXT}, lattice_rank=3, generator_matrices=((0, 1),))",
+     {"lattice_rank": 4}, []),
+    (SolutionFamily, {"particular": PairVector.zero(2), "kernel": (PairVector(2, (1,)),)},
+     "SolutionFamily(particular=PairVector(n=2, coeffs=(0,)), kernel=(PairVector(n=2, coeffs=(1,)),))",
+     {"kernel": ()}, []),
+    (FrobeniusWitness, {"x": E, "v": E, "certificate": (("x^3", True),)},
+     f"FrobeniusWitness(x={E_TEXT}, v={E_TEXT}, certificate=(('x^3', True),))",
+     {"certificate": ()}, []),
+    (StandardizationResult,
+     {"conjugator": E, "chain": (("cycle_match", E),), "power": 1, "offset": PairVector.zero(2),
+      "parameters": (0, 0, 0, 0, 0, 0), "branch": 0, "image_x": E, "image_y": E},
+     f"StandardizationResult(conjugator={E_TEXT}, chain=(('cycle_match', {E_TEXT}),), power=1, "
+     f"offset=PairVector(n=2, coeffs=(0,)), parameters=(0, 0, 0, 0, 0, 0), branch=0, "
+     f"image_x={E_TEXT}, image_y={E_TEXT})",
+     {"power": 2}, []),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text, changed, invalid", CASES, ids=[c[0].__name__ for c in CASES])
+def test_value_class_behaviour(cls, fields, text, changed, invalid):
+    value = cls(**fields)
+    assert repr(value) == text
+    assert cls(*fields.values()) == value
+    assert tuple(getattr(value, name) for name in fields) == tuple(fields.values())
+
+    # equality and hashing go by the fields, in order
+    twin = cls(**fields)
+    assert twin == value and not twin != value
+    key = fields["parts"] if cls is CycleType else tuple(fields.values())  # degree-blind
+    assert hash(twin) == hash(value) == hash(key)
+    other = cls(**{**fields, **changed})
+    assert other != value
+    assert value != tuple(fields.values()) and value != object()
+
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, next(iter(fields)))
+    assert repr(value) == text
+
+    restored = pickle.loads(pickle.dumps(value))
+    assert restored == value and repr(restored) == text
+
+    for bad, message in invalid:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**bad)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    with pytest.raises(TypeError):
+        cls(*list(fields.values())[:-1])
