@@ -68,7 +68,8 @@ def main():
     g7 = conjugate(mul(pure(family_member(r)), y), scramble)
     print(f"scrambled copy: family parameters r = {r}, then a random conjugation.")
     res = standardize_frobenius(g3, g7)
-    print(f"standardize_frobenius recovers a conjugator (branch {res.branch}, power {res.power}):")
+    steps = " then ".join(name for name, _ in res.chain)
+    print(f"standardize_frobenius recovers a conjugator ({steps}, power {res.power}):")
     print(f"  conj(g3) == x:    {conjugate(g3, res.conjugator) == w.x}")
     print(f"  conj(g7) == v0^{res.power}: {conjugate(g7, res.conjugator) == power(w.v, res.power)}")
     image = set(subgroup_closure(conjugate(g3, res.conjugator), conjugate(g7, res.conjugator)))

@@ -18,7 +18,7 @@ EXPORTS = {
     "quotient": (
         "INFINITE", "QuotientElement", "action_on_basis", "basis_element",
         "basis_orbits", "canonical_lift", "conjugate", "element_order", "embed",
-        "inverse", "mul", "normalize", "power", "pure", "to_word"
+        "inverse", "mul", "normalize", "power", "pure", "pure_conjugator", "to_word"
     ),
     "torsion": (
         "BlockSpec", "abelian_realization", "block_cycle", "block_cycle_word",

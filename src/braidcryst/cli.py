@@ -21,6 +21,11 @@ import sys
 import braidcryst as bc
 
 
+#: Most family members ``frobenius family --sample`` builds and verifies
+#: (about 0.8 s for 1000).
+SAMPLE_LIMIT = 1000
+
+
 class UsageError(ValueError):
     pass
 
@@ -37,15 +42,20 @@ def _element(args, text: str) -> bc.QuotientElement:
     return bc.normalize(bc.BraidWord.from_text(args.n, text))
 
 
-def _strand_count(text: str) -> int:
-    """argparse type of ``--n``: an integer of at least 2."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
-    return n
+def _bounded_int(low: int, high: float = float("inf")):
+    """argparse type: an integer in ``low..high``, else a one-line usage error."""
+    bound = f">= {low}" if high == float("inf") else f"in {low}..{high}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _need_n(args) -> int:
@@ -252,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="braidcryst",
         description="Exact arithmetic in the braid group quotients B_n/[P_n,P_n].",
     )
-    parser.add_argument("--n", type=_strand_count,
+    parser.add_argument("--n", type=_bounded_int(2),
                         help="strand count (>= 2) for word/permutation input")
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument(
@@ -336,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("subcommand", choices=["verify", "family", "conjugator"])
     p.add_argument("--offset-json", help="offset vector JSON for verify")
     p.add_argument("--r", help="six comma-separated family parameters for conjugator")
-    p.add_argument("--sample", type=int, default=0, help="verify this many family samples")
+    p.add_argument("--sample", type=_bounded_int(0, SAMPLE_LIMIT), default=0,
+                   help=f"verify this many family samples (0..{SAMPLE_LIMIT})")
     p.set_defaults(func=_cmd_frobenius)
 
     p = sub.add_parser("abelian-realization", help="commuting generators per BlockSpec")

@@ -3,25 +3,31 @@
 Two finite-order elements are conjugate exactly when their permutations have
 the same cycle type, and a conjugator is computable: every finite-order
 element is conjugate to the block torsion element of its cycle type, first by
-the lift of a permutation matching cycles to consecutive blocks, then by a
-lattice vector solved orbit by orbit from a telescoping linear system.
+the lift of a permutation matching cycles to consecutive blocks, then by the
+lattice vector :func:`quotient.pure_conjugator` walks over the pair orbits.
 """
 
 from __future__ import annotations
+
+import math
 
 from .braidword import PairVector, VerificationError
 from .permutation import Permutation
 from .quotient import (
     INFINITE,
     QuotientElement,
-    basis_orbits,
     conjugate,
     element_order,
     inverse,
     mul,
     pure,
+    pure_conjugator,
 )
-from .torsion import BlockSpec, iter_block_specs, torsion_element
+from .torsion import BlockSpec, torsion_element
+
+#: Largest strand count times block-length count :func:`count_conjugacy_classes`
+#: tabulates (about 1 s and 90 MB at k = 105).
+CLASS_COUNT_LIMIT = 10**6
 
 
 class InfiniteOrderError(ValueError):
@@ -55,31 +61,17 @@ def standard_form(g: QuotientElement) -> tuple[QuotientElement, BlockSpec]:
 def conjugator_to_standard(g: QuotientElement) -> QuotientElement:
     """An element ``c`` with ``c g c^-1 = torsion_element(spec(g))``.
 
-    After standardizing the permutation, the remaining pure difference ``A``
-    is removed by a lattice vector: on each action orbit ``(w_1, ..., w_q)``
-    of the block element the conjugation condition telescopes to
-    ``x_{i-1} - x_i = A[w_i]``, solved by ``x_q = 0``,
-    ``x_{i-1} = x_i + A[w_i]``; the leftover equation is the vanishing orbit
-    sum, which finite order guarantees.
+    After standardizing the permutation, the remaining pure difference is
+    removed by :func:`quotient.pure_conjugator`; a solution exists because a
+    finite-order element sums to zero over each pair orbit of its
+    permutation, as the block element does.
     """
     c0, spec = standard_form(g)
-    g1 = conjugate(g, c0)
     delta = torsion_element(spec)
-    offset = mul(g1, inverse(delta)).vec
-    coeffs: dict[tuple[int, int], int] = {}
-    for orbit in basis_orbits(delta):
-        q = len(orbit)
-        m = [offset.coefficient(i, j) for (i, j) in orbit]
-        if sum(m) != 0:
-            raise VerificationError("orbit sum nonzero for a finite-order element")
-        x = [0] * q
-        for i in range(q - 1, 0, -1):
-            x[i - 1] = x[i] + m[i]
-        for pair, value in zip(orbit, x):
-            if value:
-                coeffs[pair] = value
-    mover = pure(PairVector.from_pairs(g.n, coeffs))
-    c = mul(mover, c0)
+    theta = pure_conjugator((conjugate(g, c0),), (delta,))
+    if theta is None:
+        raise VerificationError("no lattice vector reaches the block torsion element")
+    c = mul(pure(theta), c0)
     if conjugate(g, c) != delta:
         raise VerificationError("conjugator does not reach the block torsion element")
     return c
@@ -112,7 +104,23 @@ def are_conjugate(
 
 def count_conjugacy_classes(n: int, k: int) -> int:
     """Number of conjugacy classes of order-``k`` elements on ``n`` strands:
-    multisets of odd block lengths >= 3 with sum <= n and lcm = k."""
-    if k == 1:
-        return 1
-    return sum(1 for spec in iter_block_specs(n) if spec.order() == k)
+    multisets of odd block lengths >= 3 with sum <= n and lcm = k.
+
+    Only odd divisors of ``k`` can be blocks, so the multisets are counted by
+    a knapsack over (sum, lcm) with those divisors as items, not one by one;
+    a ``ValueError`` refuses ``n`` times their count past ``CLASS_COUNT_LIMIT``.
+    """
+    items = [d for d in range(3, min(n, k) + 1, 2) if k % d == 0]
+    if not items:
+        return int(k == 1)
+    if n * len(items) > CLASS_COUNT_LIMIT:
+        raise ValueError(f"n={n} times {len(items)} block lengths is past {CLASS_COUNT_LIMIT}; refusing")
+    ways: list[dict[int, int]] = [{} for _ in range(n + 1)]  # sum -> lcm -> count
+    ways[0][1] = 1
+    for d in items:
+        for total in range(n - d + 1):
+            grown = ways[total + d]
+            for lcm, count in ways[total].items():
+                key = math.lcm(lcm, d)
+                grown[key] = grown.get(key, 0) + count
+    return sum(by_lcm.get(k, 0) for by_lcm in ways)

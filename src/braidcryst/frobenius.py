@@ -5,10 +5,11 @@ defect ``x y x^-1 y^-2`` is a fixed nonzero lattice vector, so ``<x, y>`` is
 not Frobenius as it stands.  Translating y by a lattice vector N repairs it:
 ``v = A^N y`` satisfies ``x v x^-1 = v^2`` and ``v^7 = 1`` exactly when N
 solves an integer linear system (21 conjugation equations plus one orbit-sum
-equation per y-orbit).  The solution set is an affine family of rank 6; all
-resulting subgroups ``<x, A^N y>`` form a single conjugacy class, and
-``standardize_frobenius`` computes a conjugator from any generating pair
-onto the reference pair ``(x, v0)``.
+equation per y-orbit).  The solution set is an affine family of rank 6.
+All resulting subgroups ``<x, A^N y>`` form one conjugacy class: F21 acts
+freely on the 21 pairs, so two of its lifts with the same permutations differ
+by the pure conjugator that :func:`quotient.pure_conjugator` finds, which
+``standardize_frobenius`` applies after matching permutations.
 
 Everything here is specific to n = 7; use ``quotient.embed`` to place the
 witness on more strands.
@@ -19,18 +20,17 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .braidword import BraidWord, PairVector, VerificationError, pair_images, pair_index
-from .conjugacy import conjugator_to_standard
 from .permutation import Permutation, Record, closure
 from .quotient import (
     QuotientElement,
     basis_orbits,
     conjugate,
     element_order,
-    inverse,
     mul,
     normalize,
     power,
     pure,
+    pure_conjugator,
 )
 from .zlinalg import lattices_equal, mat_vec, solve_integer
 
@@ -41,15 +41,6 @@ Y_WORD = "2 3 6 5 4 -3 -2 -1 -3 -2"
 
 BETA = Permutation.from_text(7, "(1,2,3)(4,5,6)")
 ALPHA = Permutation.from_text(7, "(1,3,4,2,5,6,7)")
-# the two other 7-cycle subgroups normalized by BETA, reached from ALPHA by
-# conjugating with the centralizer elements (1,3,2) and (4,6,5)
-ALPHA1 = Permutation.from_text(7, "(1,4,3,5,6,7,2)")
-ALPHA2 = Permutation.from_text(7, "(1,3,5,2,6,4,7)")
-TAU = Permutation.from_text(7, "(1,4,2,5,3,6)")
-
-#: Words commuting with x whose permutations conjugate ALPHA1, ALPHA2 back
-#: to ALPHA; index 0 is the no-op branch.
-CENTRALIZER_MOVES = ("", "1 -2", "4 -5")
 
 
 class NotASolution(ValueError):
@@ -277,31 +268,16 @@ def subgroup_closure(*generators: QuotientElement) -> tuple[QuotientElement, ...
 def conjugator_between(N: PairVector) -> PairVector:
     """A lattice vector theta with ``A^theta (x, v0) A^-theta = (x, A^N y)``.
 
-    theta is constant on the x-orbits of the pair basis (so it centralizes
-    x); the seven constants are chained from the family parameters of N with
-    the free one pinned to zero.  Both conjugation identities are verified
-    in the engine before returning.
+    N must lie in the repair family (``NotASolution`` otherwise).  theta is
+    :func:`quotient.pure_conjugator` of the two pairs, checked in the engine;
+    F21 has one orbit on the pairs, so theta is zero at (1, 2).
     """
-    r1, r2, r3, r4, r5, r6 = recover_parameters(N)
-    s4 = 0
-    s1 = -r6 + r4 + r3 - r2 + 1
-    s6 = s1 + r6 - r3 + r2
-    s3 = s6 + r3 - r2
-    s7 = s3 + r2
-    s2 = s7 - r5 - r4 - r3
-    s5 = s2 - r6 + r5 + r4 + r3 - r2 - r1
+    recover_parameters(N)
     x, y = build_xy()
-    # one constant per x-orbit, in the order of their least pairs
-    # (1,2), (1,4), (1,5), (1,6), (1,7), (4,5), (4,7)
-    values = (s1, s3, s7, s4, s2, s5, s6)
-    theta = PairVector.from_pairs(
-        N_STRANDS,
-        {pair: s for s, orbit in zip(values, basis_orbits(x)) for pair in orbit},
-    )
-    mover = pure(theta)
     v0 = mul(pure(default_offset()), y)
-    if conjugate(x, mover) != x or conjugate(v0, mover) != mul(pure(N), y):
-        raise VerificationError("theta does not carry (x, v0) onto (x, A^N y)")
+    theta = pure_conjugator((x, v0), (x, mul(pure(N), y)))
+    if theta is None:
+        raise VerificationError("no lattice vector carries (x, v0) onto (x, A^N y)")
     return theta
 
 
@@ -310,17 +286,14 @@ class StandardizationResult(Record):
 
     ``conjugate(g3, conjugator) == x`` and
     ``conjugate(g7, conjugator) == v0^power`` with ``power`` coprime to 7,
-    so the image subgroup is exactly ``<x, v0>``.
+    so the image subgroup is exactly ``<x, v0>``.  ``chain`` lists the
+    steps: the lift of the permutation match, then the lattice shift.
     """
 
-    _fields = ("conjugator", "chain", "power", "offset", "parameters", "branch",
-               "image_x", "image_y")
+    _fields = ("conjugator", "chain", "power", "image_x", "image_y")
     conjugator: QuotientElement
     chain: tuple[tuple[str, QuotientElement], ...]
     power: int
-    offset: PairVector
-    parameters: tuple[int, int, int, int, int, int]
-    branch: int
     image_x: QuotientElement
     image_y: QuotientElement
 
@@ -329,30 +302,22 @@ class StandardizationResult(Record):
             "conjugator": self.conjugator.to_json(),
             "chain": [[name, c.to_json()] for name, c in self.chain],
             "power": self.power,
-            "offset": self.offset.to_json(),
-            "parameters": list(self.parameters),
-            "branch": self.branch,
             "image_x": self.image_x.to_json(),
             "image_y": self.image_y.to_json(),
         }
 
 
-def _seven_cycle_matcher(p: Permutation) -> Permutation:
-    """The lexicographically least permutation ``rho`` with
-    ``rho * p * rho^-1 == ALPHA``."""
-    (cycle,) = p.cycles()
-    target = ALPHA.cycles()[0]
-    candidates = []
-    for s in range(7):
-        rotated = cycle[s:] + cycle[:s]
-        images = [0] * 7
-        for a, b in zip(target, rotated):
-            images[a - 1] = b
-        candidates.append(Permutation(tuple(images)))
-    best = min(candidates, key=lambda c: c.images)
-    if best * p * best.inverse() != ALPHA:
-        raise VerificationError("cycle match does not conjugate onto ALPHA")
-    return best
+def _cycle_matches(t: Permutation, z: Permutation):
+    """Each ``(j, s)`` with ``s z s^-1 = ALPHA^j`` and ``s t s^-1 = BETA``,
+    trying ``j`` in 1..6, then the 7 rotations of the cycle of ``z``."""
+    (cycle,) = z.cycles()
+    for j in range(1, 7):
+        target = ALPHA**j
+        for r in range(7):
+            pairing = sorted(zip(target.cycles()[0], cycle[r:] + cycle[:r]))
+            s = Permutation(tuple(b for _, b in pairing))
+            if s * z * s.inverse() == target and s * t * s.inverse() == BETA:
+                yield j, s
 
 
 def standardize_frobenius(
@@ -361,12 +326,9 @@ def standardize_frobenius(
     """A verified conjugator carrying ``<g3, g7>`` onto ``<x, v0>``.
 
     Requires ``g3^3 = g7^7 = 1`` and ``g3 g7 g3^-1 = g7^2`` on 7 strands.
-    The chain: a permutation-level match sending perm(g7) to ALPHA, the
-    torsion standardization of the order-3 generator, a centralizer move
-    fixing x that returns the 7-cycle to a power of ALPHA, and the lattice
-    vector of :func:`conjugator_between`.  A power replacement (recorded,
-    not a conjugation) aligns that power to ALPHA itself before the offset
-    is read.
+    The chain: the lift of a permutation ``s`` sending the permutations of
+    ``(g3, g7)`` to ``(BETA, ALPHA^j)``, then the lattice vector
+    :func:`quotient.pure_conjugator` finds from that pair to ``(x, v0^j)``.
     """
     if g3.n != N_STRANDS or g7.n != N_STRANDS:
         raise NotFrobenius("generators must live on 7 strands")
@@ -377,57 +339,23 @@ def standardize_frobenius(
     if conjugate(g7, g3) != power(g7, 2):
         raise NotFrobenius("conjugation relation g3 g7 g3^-1 = g7^2 fails")
 
+    j, s = next(_cycle_matches(g3.perm, g7.perm), (0, None))
+    if s is None:
+        raise VerificationError("no permutation carries the pair onto (BETA, ALPHA^j)")
+    rho = QuotientElement(s, PairVector.zero(N_STRANDS))
     x, y = build_xy()
-    rho = QuotientElement(_seven_cycle_matcher(g7.perm), PairVector.zero(N_STRANDS))
-    a3, a7 = conjugate(g3, rho), conjugate(g7, rho)
-
-    lam1 = conjugator_to_standard(a3)
-    b3, b7 = conjugate(a3, lam1), conjugate(a7, lam1)
-    if b3 != x:
-        raise VerificationError("torsion standardization missed x")
-
-    z = b7.perm
-    branch = next(
-        i
-        for i, root in enumerate((ALPHA, ALPHA1, ALPHA2))
-        if any(z == root**j for j in range(1, 7))
-    )
-    lam2 = inverse(normalize(BraidWord.from_text(N_STRANDS, CENTRALIZER_MOVES[branch])))
-    c3, c7 = conjugate(b3, lam2), conjugate(b7, lam2)
-    if c3 != x:
-        raise VerificationError("centralizer move does not fix x")
-
-    j = next(e for e in range(1, 7) if c7.perm == ALPHA**e)
-    v = power(c7, pow(j, -1, 7))
-    offset = mul(v, inverse(y)).vec
-    params = recover_parameters(offset)
-
-    theta = inverse(pure(conjugator_between(offset)))
-    d3, d7 = conjugate(c3, theta), conjugate(c7, theta)
     v0 = mul(pure(default_offset()), y)
-    if d3 != x or d7 != power(v0, j):
-        raise VerificationError("offset shift does not reach (x, v0^j)")
+    d3, d7 = x, power(v0, j)
+    theta = pure_conjugator((conjugate(g3, rho), conjugate(g7, rho)), (d3, d7))
+    if theta is None:
+        raise VerificationError("no lattice vector carries the matched pair onto (x, v0^j)")
 
-    chain = (
-        ("cycle_match", rho),
-        ("torsion_standardize", lam1),
-        ("centralizer_move", lam2),
-        ("offset_shift", theta),
-    )
-    total = rho
-    for _, c in chain[1:]:
-        total = mul(c, total)
+    chain = (("cycle_match", rho), ("offset_shift", pure(theta)))
+    total = mul(pure(theta), rho)
     if conjugate(g3, total) != d3 or conjugate(g7, total) != d7:
         raise VerificationError("composed conjugator does not match the chain")
     if set(subgroup_closure(d3, d7)) != set(subgroup_closure(x, v0)):
         raise VerificationError("image subgroup does not match the reference")
     return StandardizationResult(
-        conjugator=total,
-        chain=chain,
-        power=j,
-        offset=offset,
-        parameters=params,
-        branch=branch,
-        image_x=d3,
-        image_y=d7,
+        conjugator=total, chain=chain, power=j, image_x=d3, image_y=d7
     )

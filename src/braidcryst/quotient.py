@@ -27,13 +27,14 @@ Conjugation acts on the lattice through pairs:
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .braidword import (
     BraidWord,
     PairVector,
     VerificationError,
     crossing_counts,
+    pair_images,
     pair_offsets,
     pairs,
     pure_word,
@@ -254,6 +255,51 @@ def basis_orbits(g: QuotientElement) -> tuple[tuple[tuple[int, int], ...], ...]:
             q = act(q)
         orbits.append(tuple(orbit))
     return tuple(orbits)
+
+
+def pure_conjugator(
+    sources: Sequence[QuotientElement], targets: Sequence[QuotientElement]
+) -> PairVector | None:
+    """A vector ``theta`` with ``A^theta s A^-theta == t`` for each source
+    ``s`` and its target ``t``, or ``None`` when there is none.
+
+    Conjugating by ``A^theta`` adds ``theta[P] - theta[perm(s)(P)]`` to each
+    coefficient, so ``theta`` is walked breadth first over each orbit of the
+    source permutations on pairs, from 0 at the orbit's least pair; a pair
+    reached twice with different values admits no solution.  The answer is
+    checked in the engine: ``VerificationError`` unless every conjugation
+    holds.
+
+    >>> g = QuotientElement(Permutation.from_text(3, "(1,2,3)"), PairVector.zero(3))
+    >>> h = conjugate(g, basis_element(3, 1, 3))
+    >>> str(pure_conjugator((g,), (h,)))
+    '{1,3}:1'
+    """
+    if not sources or len(sources) != len(targets):
+        raise ValueError("need one target for each of at least one source")
+    n = sources[0].n
+    if any(g.n != n for g in (*sources, *targets)):
+        raise ValueError("degree mismatch")
+    if any(s.perm != t.perm for s, t in zip(sources, targets)):
+        return None
+    moves = [(pair_images(s.perm), (t.vec - s.vec).tolist()) for s, t in zip(sources, targets)]
+    theta: list = [None] * (n * (n - 1) // 2)
+    for start in range(len(theta)):
+        if theta[start] is not None:
+            continue
+        theta[start], queue = 0, [start]
+        for q in queue:
+            for images, d in moves:
+                r, value = images[q], theta[q] - d[q]
+                if theta[r] is None:
+                    theta[r] = value
+                    queue.append(r)
+                elif theta[r] != value:
+                    return None
+    vec = PairVector(n, theta)
+    if any(conjugate(s, pure(vec)) != t for s, t in zip(sources, targets)):
+        raise VerificationError("pure conjugator does not carry the sources onto the targets")
+    return vec
 
 
 def to_word(g: QuotientElement) -> BraidWord:

@@ -137,6 +137,17 @@ def test_count_classes_command(capsys):
     assert json.loads(out) == {"classes": 1}
 
 
+def test_count_classes_is_fast_on_many_strands(capsys):
+    # listing every block multiset took 2.2 s at n = 100 and grew about 4x
+    # per 20 strands; the knapsack answers n = 1000 at once
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--n", "1000", "count-classes", "--k", "105")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "3041192075")
+    code, out, err = run(capsys, "--n", "1000000", "count-classes", "--k", "105")
+    assert (code, out) == (1, "") and len(err.splitlines()) == 1
+
+
 def test_holonomy_command(capsys):
     code, out, _ = run(capsys, "--n", "3", "--json", "holonomy", "(1,2)")
     assert code == 0
@@ -196,6 +207,20 @@ def test_frobenius_family_sampling_is_seeded(capsys):
     assert a == b
     c = run(capsys, "--json", "--seed", "6", "frobenius", "family", "--sample", "3")
     assert json.loads(a[1])["samples"] != json.loads(c[1])["samples"]
+
+
+def test_frobenius_family_sample_is_bounded():
+    for value in ("0", "1000"):
+        code, out, err = _call("--json", "frobenius", "family", "--sample", value)
+        assert (code, err) == (0, [])
+        assert len(json.loads(out).get("samples", [])) == int(value)
+    for value in ("-1", "1001", "1000000", "x"):
+        code, out, err = _call("frobenius", "family", "--sample", value)
+        assert (code, out) == (2, ""), value
+        assert [line for line in err if "error:" in line] == [
+            f"braidcryst frobenius: error: argument --sample: must be an integer in 0..1000, "
+            f"got {value!r}"
+        ]
 
 
 def test_frobenius_conjugator_command(capsys):
@@ -480,6 +505,9 @@ print(sorted({"Permutation", "pairs", "mul", "torsion_witness"} & set(vars(braid
 # a Bieberbach answer needs neither torsion nor zlinalg
 cli.main(["--n", "4", "bieberbach", "(1,2)", "(3,4)"])
 print(loaded())
+# the Frobenius certificate needs neither conjugacy nor torsion
+cli.main(["frobenius", "verify"])
+print(loaded())
 print(braidcryst.conjugacy.__name__, "braidcryst.conjugacy" in loaded())
 """
 
@@ -496,6 +524,13 @@ def test_cold_start_loads_only_what_the_verb_runs():
         "holonomy order 4: Bieberbach",
         "['braidcryst.braidword', 'braidcryst.cli', 'braidcryst.permutation', "
         "'braidcryst.quotient', 'braidcryst.subgroups']",
+        "x^3: ok",
+        "v^7: ok",
+        "x v x^-1 = v^2: ok",
+        "subgroup order: 21",
+        "['braidcryst.braidword', 'braidcryst.cli', 'braidcryst.frobenius', "
+        "'braidcryst.permutation', 'braidcryst.quotient', 'braidcryst.subgroups', "
+        "'braidcryst.zlinalg']",
         "braidcryst.conjugacy True",
     ]
 

@@ -151,6 +151,22 @@ def test_count_classes_against_oracle():
             assert count_conjugacy_classes(n, k) == oracle_class_count(n, k)
 
 
+def test_count_classes_match_block_spec_enumeration():
+    # the knapsack count against the listing it replaced: every BlockSpec
+    # whose lcm is k, and the identity class for k = 1
+    for n in range(2, 21):
+        specs = list(iter_block_specs(n))
+        for k in range(1, 46, 2):
+            listed = 1 if k == 1 else sum(1 for spec in specs if spec.order() == k)
+            assert count_conjugacy_classes(n, k) == listed, (n, k)
+
+
+def test_count_classes_refuses_past_the_table_limit():
+    assert count_conjugacy_classes(10**9, 1) == 1  # no block length divides 1
+    with pytest.raises(ValueError, match="refusing"):
+        count_conjugacy_classes(10**6, 105)
+
+
 def test_witness_right_multiplied_by_centralizer_still_works():
     rng = random.Random(37)
     n = 6

@@ -58,3 +58,17 @@ def test_module_does_not_import_dataclasses(module):
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module)
     assert {name.split(".")[0] for name in imported} & {"dataclasses", "inspect"} == set()
+
+
+@pytest.mark.parametrize("module", [*MODULES, braidcryst, braidcryst.cli], ids=lambda m: m.__name__)
+def test_module_has_no_unused_import(module):
+    # a deletion must not leave an import behind that nothing reads
+    tree = _tree(module)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in imported.items() if name not in used} == {}

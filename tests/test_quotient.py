@@ -6,7 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidcryst.braidword import BraidWord, PairVector, full_twist_word, linking_vector, pairs
+from braidcryst.braidword import (
+    BraidWord,
+    PairVector,
+    full_twist_word,
+    linking_vector,
+    pair_images,
+    pairs,
+)
 from braidcryst.permutation import Permutation, all_permutations
 from braidcryst.quotient import (
     INFINITE,
@@ -23,8 +30,10 @@ from braidcryst.quotient import (
     normalize,
     power,
     pure,
+    pure_conjugator,
     to_word,
 )
+from braidcryst.zlinalg import solve_integer
 from word_oracle import (
     LIFTS,
     closed_cocycle,
@@ -34,6 +43,7 @@ from word_oracle import (
     word_mul,
     word_normalize,
 )
+from test_zlinalg import run_python
 
 
 def random_word(n, rng, max_len=12):
@@ -273,6 +283,80 @@ def test_basis_orbits_partition():
                 assert orbit[0] == min(orbit)
                 for t, P in enumerate(orbit):
                     assert action_on_basis(g, P) == orbit[(t + 1) % len(orbit)]
+
+
+def orbit_roots(n, perms):
+    """The least pair position in each pair position's orbit under ``perms``."""
+    root = list(range(n * (n - 1) // 2))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for p in perms:
+        for i, j in enumerate(pair_images(p)):
+            a, b = sorted((find(i), find(j)))
+            root[b] = a
+    return [find(i) for i in range(len(root))]
+
+
+def test_pure_conjugator_agrees_with_the_integer_solve():
+    # oracle: theta - theta o p_i = t_i - s_i, stacked over the generators
+    rng = random.Random(61)
+    verdicts = set()
+    for trial in range(60):
+        n = rng.randint(3, 6)
+        sources = [normalize(random_word(n, rng)) for _ in range(rng.randint(1, 2))]
+        shift = pure(PairVector(n, [rng.randint(-3, 3) for _ in pairs(n)]))
+        targets = [conjugate(s, shift) for s in sources]
+        if trial % 2:  # perturb one target: a translate, or a shift of it alone
+            i, P = rng.randrange(len(targets)), rng.choice(pairs(n))
+            targets[i] = rng.choice([mul(basis_element(n, *P), targets[i]),
+                                     conjugate(targets[i], basis_element(n, *P))])
+        rows, rhs = [], []
+        for s, t in zip(sources, targets):
+            for q, image in enumerate(pair_images(s.perm)):
+                row = [0] * len(pairs(n))
+                row[q] += 1
+                row[image] -= 1
+                rows.append(row)
+            rhs += (t.vec - s.vec).coeffs
+        theta = pure_conjugator(sources, targets)
+        assert (theta is None) == (solve_integer(rows, rhs) is None), trial
+        verdicts.add((trial % 2, theta is None))
+        if theta is not None:
+            assert all(conjugate(s, pure(theta)) == t for s, t in zip(sources, targets))
+            assert all(theta.coeffs[r] == 0 for r in orbit_roots(n, [s.perm for s in sources]))
+    assert verdicts == {(0, False), (1, False), (1, True)}
+
+
+def test_pure_conjugator_rejects_mismatched_input():
+    g = normalize(BraidWord.from_text(3, "1 2"))
+    assert pure_conjugator((g,), (normalize(BraidWord.from_text(3, "1")),)) is None
+    with pytest.raises(ValueError):
+        pure_conjugator((g,), ())
+    with pytest.raises(ValueError):
+        pure_conjugator((), ())
+    with pytest.raises(ValueError):
+        pure_conjugator((g,), (embed(g, 4),))
+
+
+def test_pure_conjugator_check_survives_optimize():
+    script = """
+import sys
+import braidcryst.quotient as q
+from braidcryst.braidword import BraidWord, VerificationError
+g = q.normalize(BraidWord.from_text(4, "1 2 -3"))
+h = q.conjugate(g, q.basis_element(4, 1, 3))
+print(sys.flags.optimize, q.pure_conjugator((g,), (h,)) is not None)
+q.conjugate = lambda g, c: g
+try:
+    q.pure_conjugator((g,), (h,))
+except VerificationError:
+    print("raised")
+"""
+    assert run_python("-O", "-c", script) == ["1", "True", "raised"]
 
 
 @settings(max_examples=60)
