@@ -30,10 +30,33 @@ class UsageError(ValueError):
     pass
 
 
+def _one_line(text: str) -> str:
+    """``text`` with its line breaks turned into spaces, so that a message
+    quoting the input stays one line."""
+    return " ".join(text.splitlines())
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``parser_class`` each of its subparsers, whose
+    usage errors are one line on stderr, exit code 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {_one_line(message)}\n")
+
+
+def _json(text: str):
+    """``json.loads``, with nesting too deep for the decoder's recursion
+    refused as a ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def _element(args, text: str) -> bc.QuotientElement:
     text = text.strip()
     if args.element_json or text.startswith("{"):
-        g = bc.QuotientElement.from_json(json.loads(text))
+        g = bc.QuotientElement.from_json(_json(text))
         if args.n is not None and args.n != g.n:
             raise ValueError(f"--n {args.n} conflicts with element n={g.n}")
         return g
@@ -219,7 +242,7 @@ def _parse_r(text: str) -> tuple[int, int, int, int, int, int]:
 def _cmd_frobenius(args) -> None:
     if args.subcommand == "verify":
         N = (
-            bc.PairVector.from_json(bc.frobenius.N_STRANDS, json.loads(args.offset_json))
+            bc.PairVector.from_json(bc.frobenius.N_STRANDS, _json(args.offset_json))
             if args.offset_json
             else None
         )
@@ -258,7 +281,7 @@ def _cmd_frobenius(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidcryst",
         description="Exact arithmetic in the braid group quotients B_n/[P_n,P_n].",
     )
@@ -368,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     except (ValueError, KeyError) as exc:
         # covers NotPure, InfiniteOrder, NotASolution, NotFrobenius, bad JSON
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return 1
     except MemoryError:
         # work sized by --n (n(n-1)/2 pairs and up) that does not fit in memory

@@ -55,8 +55,12 @@ class InconsistentSystem(RuntimeError):
     """The repair system has no integer solution (implementation bug)."""
 
 
+@lru_cache(maxsize=1)
 def build_xy() -> tuple[QuotientElement, QuotientElement]:
-    """Normal forms of the two seed words; perms are BETA and ALPHA."""
+    """Normal forms of the two seed words; perms are BETA and ALPHA.
+
+    Built once per process; every caller shares the same immutable pair.
+    """
     x = normalize(BraidWord.from_text(N_STRANDS, X_WORD))
     y = normalize(BraidWord.from_text(N_STRANDS, Y_WORD))
     return x, y
@@ -256,6 +260,24 @@ def build_frobenius(N: PairVector | None = None) -> FrobeniusWitness:
     return FrobeniusWitness(x=x, v=v, certificate=certificate)
 
 
+@lru_cache(maxsize=1)
+def reference_pair() -> tuple[QuotientElement, QuotientElement]:
+    """The reference generators ``(x, v0)`` with ``v0 = A^N0 y``, built once
+    per process."""
+    x, y = build_xy()
+    return x, mul(pure(default_offset()), y)
+
+
+@lru_cache(maxsize=1)
+def reference_group() -> frozenset[QuotientElement]:
+    """The 21 elements of ``<x, v0>``, listed and checked once per process
+    (``VerificationError`` unless there are exactly 21)."""
+    found = frozenset(closure(QuotientElement.identity(N_STRANDS), reference_pair()))
+    if len(found) != 21:
+        raise VerificationError(f"<x, v0> has {len(found)} elements, not 21")
+    return found
+
+
 def subgroup_closure(*generators: QuotientElement) -> tuple[QuotientElement, ...]:
     """All elements generated by the inputs; a ``ValueError`` past
     ``CLOSURE_LIMIT`` elements (an infinite group, say)."""
@@ -273,9 +295,8 @@ def conjugator_between(N: PairVector) -> PairVector:
     F21 has one orbit on the pairs, so theta is zero at (1, 2).
     """
     recover_parameters(N)
-    x, y = build_xy()
-    v0 = mul(pure(default_offset()), y)
-    theta = pure_conjugator((x, v0), (x, mul(pure(N), y)))
+    x, v0 = reference_pair()
+    theta = pure_conjugator((x, v0), (x, mul(pure(N), build_xy()[1])))
     if theta is None:
         raise VerificationError("no lattice vector carries (x, v0) onto (x, A^N y)")
     return theta
@@ -329,6 +350,9 @@ def standardize_frobenius(
     The chain: the lift of a permutation ``s`` sending the permutations of
     ``(g3, g7)`` to ``(BETA, ALPHA^j)``, then the lattice vector
     :func:`quotient.pure_conjugator` finds from that pair to ``(x, v0^j)``.
+    The reference pair and the 21 elements of ``<x, v0>`` are built and
+    checked once per process; the input checks, the composed conjugator and
+    the image group are checked on every call.
     """
     if g3.n != N_STRANDS or g7.n != N_STRANDS:
         raise NotFrobenius("generators must live on 7 strands")
@@ -343,8 +367,7 @@ def standardize_frobenius(
     if s is None:
         raise VerificationError("no permutation carries the pair onto (BETA, ALPHA^j)")
     rho = QuotientElement(s, PairVector.zero(N_STRANDS))
-    x, y = build_xy()
-    v0 = mul(pure(default_offset()), y)
+    x, v0 = reference_pair()
     d3, d7 = x, power(v0, j)
     theta = pure_conjugator((conjugate(g3, rho), conjugate(g7, rho)), (d3, d7))
     if theta is None:
@@ -354,7 +377,7 @@ def standardize_frobenius(
     total = mul(pure(theta), rho)
     if conjugate(g3, total) != d3 or conjugate(g7, total) != d7:
         raise VerificationError("composed conjugator does not match the chain")
-    if set(subgroup_closure(d3, d7)) != set(subgroup_closure(x, v0)):
+    if closure(QuotientElement.identity(N_STRANDS), (d3, d7)) != reference_group():
         raise VerificationError("image subgroup does not match the reference")
     return StandardizationResult(
         conjugator=total, chain=chain, power=j, image_x=d3, image_y=d7

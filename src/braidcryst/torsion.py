@@ -20,6 +20,7 @@ tests check exhaustively.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .braidword import BraidWord, PairVector, VerificationError
 from .permutation import Permutation, Record
@@ -31,6 +32,10 @@ from .quotient import (
     power,
     pure,
 )
+
+#: Most block torsion elements :func:`torsion_element` keeps; every BlockSpec
+#: with n <= 16 (152 of them) fits.
+TORSION_CACHE_SIZE = 256
 
 
 class BlockSpec(Record):
@@ -118,8 +123,13 @@ def torsion_element_word(spec: BlockSpec) -> BraidWord:
     return word
 
 
+@lru_cache(maxsize=TORSION_CACHE_SIZE)
 def torsion_element(spec: BlockSpec) -> QuotientElement:
-    """Product of the block elements; order = lcm of the block lengths."""
+    """Product of the block elements; order = lcm of the block lengths.
+
+    Built once per process for each of the last ``TORSION_CACHE_SIZE``
+    specs; the result is immutable, so callers share it.
+    """
     return normalize(torsion_element_word(spec))
 
 

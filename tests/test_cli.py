@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import braidcryst
 from braidcryst.cli import main
@@ -337,6 +337,30 @@ def test_strand_count_below_two_is_a_usage_error():
     assert _call("--n", "2", "holonomy", "()")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["frobnicate"], "braidcryst: error: argument command: invalid choice: 'frobnicate' "),
+        (["--n", "3", "mul", "1"], "braidcryst mul: error: the following arguments are required: right"),
+        (["--n", "x", "nf", "1"], "braidcryst: error: argument --n: must be an integer >= 2, got 'x'"),
+        (["frobenius", "conjugator"], "braidcryst: error: frobenius conjugator requires --r"),
+        (["--n", "3", "nf", "1", "a\nb"], "braidcryst: error: unrecognized arguments: a b"),
+    ],
+    ids=["invalid-verb", "missing-positional", "bad-n", "conjugator-without-r", "newline"],
+)
+def test_usage_error_is_one_line(argv, line):
+    code, out, err = _call(*argv)
+    assert (code, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith(line), err
+
+
+def test_help_is_not_an_error():
+    code, out, err = _call("frobenius", "-h")
+    assert (code, err) == (0, [])
+    assert out.startswith("usage: braidcryst frobenius [-h] [--offset-json OFFSET_JSON]")
+    assert "\npositional arguments:\n" in out
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
@@ -379,6 +403,77 @@ def test_order_verb_on_any_element_json(data):
         assert len([line for line in err if "error:" in line]) == 1
         if code == 1:
             assert len(err) == 1 and err[0].startswith("error: ")
+
+
+#: Positional count and options of each verb; the fuzz test mostly gives a
+#: verb that many positionals, so that it gets past the parser.
+SHAPES = {
+    "nf": (1, ()), "mul": (2, ()), "inv": (1, ()), "pow": (2, ()), "order": (1, ()),
+    "delta": (0, ("--blocks", "--emit-word")), "alpha": (0, ("--r", "--k")),
+    "orbits": (1, ("--blocks",)), "conjugate-test": (2, ()), "conjugator": (1, ()),
+    "torsion-witness": (1, ()), "count-classes": (0, ("--k",)), "holonomy": (1, ()),
+    "bieberbach": (2, ()), "b3-catalog": (0, ()),
+    "frobenius": (1, ("--offset-json", "--r", "--sample")),
+    "abelian-realization": (0, ("--blocks",)),
+}
+
+
+def test_fuzz_shapes_cover_every_verb():
+    _, _, err = _call("frobnicate")
+    assert err[0].endswith(f"(choose from {', '.join(map(repr, SHAPES))})")
+
+
+def _argument(n):
+    """Braid words, cycle text, element JSON (some nested deeply), block
+    lists, integers, the frobenius subcommands and junk."""
+    return (
+        st.lists(st.integers(-n, n), max_size=6).map(lambda w: " ".join(map(str, w)))
+        | st.lists(
+            st.lists(st.integers(0, 10), max_size=4).map(lambda c: "(" + ",".join(map(str, c)) + ")"),
+            max_size=3,
+        ).map("".join)
+        | _valid_element(n).map(json.dumps)
+        | _element_json.map(json.dumps)
+        | st.sampled_from([3, 3000]).map(lambda d: '{"n": ' + "[" * d + "]" * d + "}")
+        | st.lists(st.integers(-1, 9), max_size=3).map(lambda b: ",".join(map(str, b)))
+        | st.integers(-3, 12).map(str)
+        | st.sampled_from(["verify", "family", "conjugator", "1,0,0,0,0,0", "--json", "--k", "-h"])
+        | st.text(max_size=8)
+        | st.integers(-10**6, 10**6).map(str)
+    )
+
+
+@st.composite
+def _argv(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    verb = draw(st.sampled_from(tuple(SHAPES)))
+    arity, options = SHAPES[verb]
+    argument = _argument(n)
+    argv = ["--n", str(n)]
+    argv += draw(st.lists(st.sampled_from(["--json", "--element-json"]), unique=True))
+    count = max(arity + draw(st.sampled_from([0, 0, 0, 0, 1, -1])), 0)
+    argv += [verb, *(draw(argument) for _ in range(count))]
+    for option in options:
+        if draw(st.sampled_from([True, True, True, False])):
+            argv += [option] if option == "--emit-word" else [option, draw(argument)]
+    return argv
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+def test_any_argv_exits_cleanly(capsys, argv):
+    # exit 0, 1 or 2; never a traceback (an exception escaping main fails the
+    # test); an error is exactly one line on stderr
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out + err
+    if code:
+        assert len(err.splitlines()) == 1, (argv, err)
 
 
 def run_capped(*args):

@@ -20,6 +20,8 @@ from braidcryst.frobenius import (
     defect,
     family_member,
     recover_parameters,
+    reference_group,
+    reference_pair,
     solve_family,
     standardize_frobenius,
     subgroup_closure,
@@ -35,6 +37,7 @@ from braidcryst.quotient import (
     pure,
 )
 from braidcryst.torsion import BlockSpec, torsion_element
+from test_zlinalg import run_python
 
 
 DEFECT_PLUS = [(1, 2), (1, 6), (1, 7), (4, 7)]
@@ -148,6 +151,44 @@ def test_subgroup_closure_is_f21():
         assert inverse(g) in elts
         assert mul(g, w.x) in elts
         assert mul(g, w.v) in elts
+
+
+def test_reference_constants_are_built_once_and_immutable():
+    assert build_xy() is build_xy()
+    assert reference_pair() is reference_pair()
+    x, v0 = reference_pair()
+    assert x is build_xy()[0]
+    assert v0 == mul(pure(default_offset()), build_xy()[1]) == build_frobenius().v
+    for g in (*build_xy(), v0):
+        with pytest.raises(AttributeError):
+            g.perm = BETA
+        with pytest.raises(AttributeError):
+            g.tag = 1
+
+
+def test_reference_group_is_the_listed_f21():
+    group = reference_group()
+    assert group is reference_group()
+    assert len(group) == 21
+    assert group == set(subgroup_closure(*reference_pair()))
+
+
+def test_image_check_survives_optimize():
+    # under -O every assert is gone; a wrong reference group (planted here)
+    # must still make the per-call image check raise
+    script = """
+import sys
+import braidcryst.frobenius as f
+from braidcryst import VerificationError
+x, v0 = f.reference_pair()
+print(sys.flags.optimize, f.standardize_frobenius(x, v0).power)
+f.reference_group = lambda: frozenset([x, v0])
+try:
+    f.standardize_frobenius(x, v0)
+except VerificationError:
+    print("raised")
+"""
+    assert run_python("-O", "-c", script) == ["1", "1", "raised"]
 
 
 def test_conjugator_between_standard_cases():
