@@ -9,7 +9,9 @@ import sys
 
 #: Public names by the submodule that defines them.
 EXPORTS = {
-    "permutation": ("CycleType", "Permutation", "StabilizerChain", "all_permutations"),
+    "permutation": (
+        "CycleType", "Permutation", "StabilizerChain", "all_permutations", "parse_int"
+    ),
     "braidword": (
         "BraidWord", "NotPureError", "PairVector", "VerificationError",
         "full_twist_word", "linking_vector", "pair_index", "pairs",

@@ -15,11 +15,10 @@ totals (a pure word crosses every strand pair an even number of times).
 
 from __future__ import annotations
 
-import re
 import struct
 from typing import Mapping, Sequence
 
-from .permutation import Permutation, Record
+from .permutation import Permutation, Record, parse_int
 
 
 class NotPureError(ValueError):
@@ -86,7 +85,7 @@ class BraidWord(Record):
     @staticmethod
     def from_text(n: int, text: str) -> "BraidWord":
         text = text.strip()
-        letters = tuple(int(tok) for tok in text.split()) if text else ()
+        letters = tuple(parse_int(tok) for tok in text.split()) if text else ()
         return BraidWord(n, letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
@@ -235,18 +234,20 @@ class PairVector:
 
     @staticmethod
     def from_json(n: int, data: Mapping[str, int]) -> "PairVector":
-        """Parse ``{"i,j": c, ...}``; keys are two decimal points and values
-        must be ints (not bools or floats)."""
+        """Parse ``{"i,j": c, ...}``; each key is two integers in the syntax
+        of :func:`permutation.parse_int`, and values must be ints (not bools
+        or floats)."""
         if not isinstance(data, Mapping):
             raise ValueError(f"vector must be an object of \"i,j\": integer entries, got {data!r}")
         parsed: dict[tuple[int, int], int] = {}
         for key, c in data.items():
-            match = re.fullmatch(r"(\d+),(\d+)", key) if isinstance(key, str) else None
-            if match is None:
-                raise ValueError(f"bad pair key {key!r}: expected \"i,j\"")
+            try:
+                i, j = map(parse_int, key.split(","))
+            except (AttributeError, ValueError):
+                raise ValueError(f"bad pair key {key!r}: expected \"i,j\"") from None
             if type(c) is not int:
                 raise ValueError(f"coefficient of {key!r} must be an integer, got {c!r}")
-            parsed[int(match[1]), int(match[2])] = c
+            parsed[i, j] = c
         return PairVector.from_pairs(n, parsed)
 
     def __str__(self) -> str:

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
+import re
 import sys
 
 import braidcryst as bc
@@ -36,9 +38,26 @@ def _one_line(text: str) -> str:
     return " ".join(text.splitlines())
 
 
+#: In Python's refusal to read or print an integer past its digit limit.
+_DIGIT_LIMIT = "integer string conversion"
+
+
+def _error_text(exc: Exception) -> str:
+    """``exc`` as one line, naming the digit limit instead of Python's hint."""
+    if _DIGIT_LIMIT in str(exc):
+        limit = sys.get_int_max_str_digits()
+        return f"an integer is past the {limit}-digit limit on reading and printing integers"
+    return _one_line(str(exc))
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser, and through ``parser_class`` each of its subparsers, whose
-    usage errors are one line on stderr, exit code 2."""
+    usage errors are one line on stderr, exit code 2, and which reads a comma
+    list led by a negative number (``--r -1,0,0,0,0,0``) as a value."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {_one_line(message)}\n")
@@ -65,17 +84,20 @@ def _element(args, text: str) -> bc.QuotientElement:
     return bc.normalize(bc.BraidWord.from_text(args.n, text))
 
 
-def _bounded_int(low: int, high: float = float("inf")):
-    """argparse type: an integer in ``low..high``, else a one-line usage error."""
-    bound = f">= {low}" if high == float("inf") else f"in {low}..{high}"
+def _bounded_int(low: float = -math.inf, high: float = math.inf):
+    """argparse type: an integer (:func:`permutation.parse_int`) in
+    ``low..high``, else a one-line usage error."""
+    bound = f" in {low}..{high}" if high < math.inf else f" >= {low}" if low > -math.inf else ""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text!r}")
+            value = bc.parse_int(text)
+        except ValueError as exc:
+            if _DIGIT_LIMIT in str(exc):
+                raise argparse.ArgumentTypeError(_error_text(exc)) from None
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be an integer{bound}, got {text!r}")
         return value
 
     return parse
@@ -166,7 +188,7 @@ def _cmd_conjugate_test(args) -> None:
 def _cmd_conjugator(args) -> None:
     g = _element(args, args.element)
     c = bc.conjugator_to_standard(g)
-    _, spec = bc.standard_form(g)
+    spec = bc.BlockSpec(g.n, tuple(sorted(g.perm.cycle_type().parts)))
     _emit(
         args,
         {"conjugator": c.to_json(), "blocks": str(spec)},
@@ -233,51 +255,56 @@ def _cmd_abelian_realization(args) -> None:
 
 
 def _parse_r(text: str) -> tuple[int, int, int, int, int, int]:
-    parts = tuple(int(tok) for tok in text.split(","))
+    """argparse type of ``--r``: six comma-separated integers."""
+    try:
+        parts = tuple(bc.parse_int(tok.strip()) for tok in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != 6:
-        raise UsageError("--r expects six comma-separated integers")
+        raise argparse.ArgumentTypeError(f"expects six comma-separated integers, got {text!r}")
     return parts
 
 
-def _cmd_frobenius(args) -> None:
-    if args.subcommand == "verify":
-        N = (
-            bc.PairVector.from_json(bc.frobenius.N_STRANDS, _json(args.offset_json))
-            if args.offset_json
-            else None
-        )
-        witness = bc.build_frobenius(N)
-        closure = bc.subgroup_closure(witness.x, witness.v)
-        payload = witness.to_json()
-        payload["subgroup_order"] = len(closure)
-        text = "\n".join(
-            f"{rec['relation']}: {'ok' if rec['holds'] else 'FAIL'}"
-            for rec in witness.certificate
-        ) + f"\nsubgroup order: {len(closure)}"
-        _emit(args, payload, text)
-    elif args.subcommand == "family":
-        family = bc.solve_family()
-        payload = {
-            "rank": family.rank,
-            "particular": family.particular.to_json(),
-            "kernel": [v.to_json() for v in family.kernel],
-        }
-        if args.sample:
-            rng = random.Random(args.seed)
-            samples = []
-            for _ in range(args.sample):
-                r = tuple(rng.randint(-3, 3) for _ in range(6))
-                N = bc.family_member(r)
-                bc.build_frobenius(N)
-                samples.append({"r": list(r), "offset": N.to_json()})
-            payload["samples"] = samples
-        text = f"rank {family.rank}, particular {family.particular}"
-        _emit(args, payload, text)
-    else:  # conjugator
-        N = bc.family_member(_parse_r(args.r))
-        theta = bc.conjugator_between(N)
-        payload = {"offset": N.to_json(), "theta": theta.to_json()}
-        _emit(args, payload, f"offset: {N}\ntheta: {theta}")
+def _cmd_frobenius_verify(args) -> None:
+    text = args.offset_json
+    witness = bc.build_frobenius(
+        bc.PairVector.from_json(bc.frobenius.N_STRANDS, _json(text)) if text else None
+    )
+    closure = bc.subgroup_closure(witness.x, witness.v)
+    payload = witness.to_json()
+    payload["subgroup_order"] = len(closure)
+    text = "\n".join(
+        f"{rec['relation']}: {'ok' if rec['holds'] else 'FAIL'}"
+        for rec in witness.certificate
+    ) + f"\nsubgroup order: {len(closure)}"
+    _emit(args, payload, text)
+
+
+def _cmd_frobenius_family(args) -> None:
+    family = bc.solve_family()
+    payload = {
+        "rank": family.rank,
+        "particular": family.particular.to_json(),
+        "kernel": [v.to_json() for v in family.kernel],
+    }
+    if args.sample:
+        rng = random.Random(args.seed)
+        samples = []
+        for _ in range(args.sample):
+            r = tuple(rng.randint(-3, 3) for _ in range(6))
+            N = bc.family_member(r)
+            bc.build_frobenius(N)
+            samples.append({"r": list(r), "offset": N.to_json()})
+        payload["samples"] = samples
+    text = f"rank {family.rank}, particular {family.particular}"
+    _emit(args, payload, text)
+
+
+def _cmd_frobenius_conjugator(args) -> None:
+    N = bc.family_member(args.r)
+    theta = bc.conjugator_between(N)
+    payload = {"offset": N.to_json(), "theta": theta.to_json()}
+    _emit(args, payload, f"offset: {N}\ntheta: {theta}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="strand count (>= 2) for word/permutation input")
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed for sampling commands (default 0)"
+        "--seed", type=_bounded_int(), default=0, help="seed for sampling commands (default 0)"
     )
     parser.add_argument(
         "--element-json",
@@ -313,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pow", help="integer power of an element")
     p.add_argument("element")
-    p.add_argument("exponent", type=int)
+    p.add_argument("exponent", type=_bounded_int())
     p.set_defaults(func=_cmd_pow)
 
     p = sub.add_parser("order", help="order of an element (or 'infinite')")
@@ -328,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("alpha", help="positive block cycle element")
-    p.add_argument("--r", type=int, default=0, help="block offset (default 0)")
-    p.add_argument("--k", type=int, required=True, help="block length")
+    p.add_argument("--r", type=_bounded_int(), default=0, help="block offset (default 0)")
+    p.add_argument("--k", type=_bounded_int(), required=True, help="block length")
     p.set_defaults(func=_cmd_alpha)
 
     p = sub.add_parser("orbits", help="pair-basis orbit table of an element")
@@ -351,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_torsion_witness)
 
     p = sub.add_parser("count-classes", help="conjugacy classes of order-k elements")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_bounded_int(1), required=True)
     p.set_defaults(func=_cmd_count_classes)
 
     p = sub.add_parser("holonomy", help="pair-permutation matrix of a permutation")
@@ -365,13 +392,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("b3-catalog", help="three-strand subgroup catalog report")
     p.set_defaults(func=_cmd_b3_catalog)
 
-    p = sub.add_parser("frobenius", help="order-21 Frobenius subgroup pipeline")
-    p.add_argument("subcommand", choices=["verify", "family", "conjugator"])
-    p.add_argument("--offset-json", help="offset vector JSON for verify")
-    p.add_argument("--r", help="six comma-separated family parameters for conjugator")
+    frobenius = sub.add_parser("frobenius", help="order-21 Frobenius subgroup pipeline")
+    steps = frobenius.add_subparsers(dest="subcommand", required=True)
+    p = steps.add_parser("verify", help="certify the pair repaired by an offset")
+    p.add_argument("--offset-json", help="offset vector JSON (default: the reference offset)")
+    p.set_defaults(func=_cmd_frobenius_verify)
+    p = steps.add_parser("family", help="the rank-6 family of repair offsets")
     p.add_argument("--sample", type=_bounded_int(0, SAMPLE_LIMIT), default=0,
                    help=f"verify this many family samples (0..{SAMPLE_LIMIT})")
-    p.set_defaults(func=_cmd_frobenius)
+    p.set_defaults(func=_cmd_frobenius_family)
+    p = steps.add_parser("conjugator", help="pure conjugator onto a family member")
+    p.add_argument("--r", type=_parse_r, required=True,
+                   help="six comma-separated family parameters")
+    p.set_defaults(func=_cmd_frobenius_conjugator)
 
     p = sub.add_parser("abelian-realization", help="commuting generators per BlockSpec")
     p.add_argument("--blocks", required=True)
@@ -383,15 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "frobenius" and args.subcommand == "conjugator" and not args.r:
-        parser.error("frobenius conjugator requires --r")
     try:
         args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
     except (ValueError, KeyError) as exc:
         # covers NotPure, InfiniteOrder, NotASolution, NotFrobenius, bad JSON
-        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 1
     except MemoryError:
         # work sized by --n (n(n-1)/2 pairs and up) that does not fit in memory

@@ -36,7 +36,8 @@ class InfiniteOrderError(ValueError):
 
 def standard_form(g: QuotientElement) -> tuple[QuotientElement, BlockSpec]:
     """A conjugator ``c`` and block data with ``perm(c g c^-1)`` equal to the
-    consecutive ascending cycles of the cycle type of ``g``.
+    consecutive ascending cycles of the cycle type of ``g``
+    (``InfiniteOrderError`` if ``g`` has infinite order).
 
     ``c`` is the lift of the permutation sending each target block, in order
     of (length, least moved point), onto the matching cycle of ``perm(g)``
@@ -52,10 +53,9 @@ def standard_form(g: QuotientElement) -> tuple[QuotientElement, BlockSpec]:
         images.extend(cycle)
     images.extend(g.perm.fixed_points())
     u = Permutation(tuple(images))
-    c = QuotientElement(u, PairVector.zero(g.n))
-    if conjugate(g, c).perm != spec.target_permutation():
+    if u * g.perm * u.inverse() != spec.target_permutation():
         raise VerificationError("conjugator does not reach the block permutation")
-    return c, spec
+    return QuotientElement(u, PairVector.zero(g.n)), spec
 
 
 def conjugator_to_standard(g: QuotientElement) -> QuotientElement:
@@ -77,25 +77,30 @@ def conjugator_to_standard(g: QuotientElement) -> QuotientElement:
     return c
 
 
+def _standardized(g: QuotientElement) -> QuotientElement | None:
+    """:func:`conjugator_to_standard`, or ``None`` for infinite order."""
+    try:
+        return conjugator_to_standard(g)
+    except InfiniteOrderError:
+        return None
+
+
 def are_conjugate(
     g: QuotientElement, h: QuotientElement
 ) -> tuple[bool | None, QuotientElement | None]:
     """Decide conjugacy; ``(True, witness)`` with ``witness g witness^-1 = h``,
     ``(False, None)``, or ``(None, None)`` when undecided (both of infinite
-    order with matching cycle types)."""
+    order with matching cycle types).  Standardizing each input once is also
+    the finiteness test: with one cycle type, finite orders are equal."""
     if g.n != h.n:
         raise ValueError("degree mismatch")
     if g == h:
         return True, QuotientElement.identity(g.n)
-    og, oh = element_order(g), element_order(h)
-    if og != oh:
-        return False, None
     if g.perm.cycle_type() != h.perm.cycle_type():
         return False, None
-    if og is INFINITE:
-        return None, None
-    cg = conjugator_to_standard(g)
-    ch = conjugator_to_standard(h)
+    cg, ch = _standardized(g), _standardized(h)
+    if cg is None or ch is None:  # undecided if both are infinite, else orders differ
+        return (None if cg is ch else False), None
     witness = mul(inverse(ch), cg)
     if conjugate(g, witness) != h:
         raise VerificationError("witness does not conjugate g onto h")

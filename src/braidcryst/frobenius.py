@@ -142,12 +142,6 @@ class SolutionFamily(Record):
     def rank(self) -> int:
         return len(self.kernel)
 
-    def member(self, r: tuple[int, int, int, int, int, int]) -> PairVector:
-        return family_member(r)
-
-    def parameters(self, N: PairVector) -> tuple[int, int, int, int, int, int]:
-        return recover_parameters(N)
-
     def contains(self, N: PairVector) -> bool:
         try:
             recover_parameters(N)
@@ -303,56 +297,46 @@ def conjugator_between(N: PairVector) -> PairVector:
 
 
 class StandardizationResult(Record):
-    """Conjugation of a Frobenius generating pair onto the reference pair.
+    """Conjugation of a Frobenius generating pair onto the reference pair:
+    ``conjugate(g3, conjugator) == x`` and ``conjugate(g7, conjugator) == v0``.
 
-    ``conjugate(g3, conjugator) == x`` and
-    ``conjugate(g7, conjugator) == v0^power`` with ``power`` coprime to 7,
-    so the image subgroup is exactly ``<x, v0>``.  ``chain`` lists the
-    steps: the lift of the permutation match, then the lattice shift.
+    ``power``, the exponent of v0 in the image of g7, is always 1.
     """
 
-    _fields = ("conjugator", "chain", "power", "image_x", "image_y")
+    _fields = ("conjugator", "power")
     conjugator: QuotientElement
-    chain: tuple[tuple[str, QuotientElement], ...]
     power: int
-    image_x: QuotientElement
-    image_y: QuotientElement
 
     def to_json(self) -> dict:
-        return {
-            "conjugator": self.conjugator.to_json(),
-            "chain": [[name, c.to_json()] for name, c in self.chain],
-            "power": self.power,
-            "image_x": self.image_x.to_json(),
-            "image_y": self.image_y.to_json(),
-        }
+        return {"conjugator": self.conjugator.to_json(), "power": self.power}
 
 
-def _cycle_matches(t: Permutation, z: Permutation):
-    """Each ``(j, s)`` with ``s z s^-1 = ALPHA^j`` and ``s t s^-1 = BETA``,
-    trying ``j`` in 1..6, then the 7 rotations of the cycle of ``z``."""
+def _cycle_match(t: Permutation, z: Permutation) -> Permutation | None:
+    """The ``s`` with ``s z s^-1 = ALPHA`` and ``s t s^-1 = BETA`` among the
+    7 rotations of the cycle of ``z``, or ``None``.  S_7 acts freely and
+    transitively on the pairs with ``t z t^-1 = z^2``, so one always fits."""
     (cycle,) = z.cycles()
-    for j in range(1, 7):
-        target = ALPHA**j
-        for r in range(7):
-            pairing = sorted(zip(target.cycles()[0], cycle[r:] + cycle[:r]))
-            s = Permutation(tuple(b for _, b in pairing))
-            if s * z * s.inverse() == target and s * t * s.inverse() == BETA:
-                yield j, s
+    (target,) = ALPHA.cycles()
+    for r in range(7):
+        pairing = sorted(zip(target, cycle[r:] + cycle[:r]))
+        s = Permutation(tuple(b for _, b in pairing))
+        if s * z * s.inverse() == ALPHA and s * t * s.inverse() == BETA:
+            return s
+    return None
 
 
 def standardize_frobenius(
     g3: QuotientElement, g7: QuotientElement
 ) -> StandardizationResult:
-    """A verified conjugator carrying ``<g3, g7>`` onto ``<x, v0>``.
+    """A verified conjugator carrying ``(g3, g7)`` onto ``(x, v0)``.
 
     Requires ``g3^3 = g7^7 = 1`` and ``g3 g7 g3^-1 = g7^2`` on 7 strands.
-    The chain: the lift of a permutation ``s`` sending the permutations of
-    ``(g3, g7)`` to ``(BETA, ALPHA^j)``, then the lattice vector
-    :func:`quotient.pure_conjugator` finds from that pair to ``(x, v0^j)``.
-    The reference pair and the 21 elements of ``<x, v0>`` are built and
-    checked once per process; the input checks, the composed conjugator and
-    the image group are checked on every call.
+    The conjugator is the lift of the permutation ``s`` sending the
+    permutations of ``(g3, g7)`` to ``(BETA, ALPHA)``, then the lattice
+    vector :func:`quotient.pure_conjugator` finds from that pair to
+    ``(x, v0)``.  The reference pair and the 21 elements of ``<x, v0>`` are
+    built and checked once per process; the input checks, the composed
+    conjugator and the image group are checked on every call.
     """
     if g3.n != N_STRANDS or g7.n != N_STRANDS:
         raise NotFrobenius("generators must live on 7 strands")
@@ -363,22 +347,18 @@ def standardize_frobenius(
     if conjugate(g7, g3) != power(g7, 2):
         raise NotFrobenius("conjugation relation g3 g7 g3^-1 = g7^2 fails")
 
-    j, s = next(_cycle_matches(g3.perm, g7.perm), (0, None))
+    s = _cycle_match(g3.perm, g7.perm)
     if s is None:
-        raise VerificationError("no permutation carries the pair onto (BETA, ALPHA^j)")
+        raise VerificationError("no permutation carries the pair onto (BETA, ALPHA)")
     rho = QuotientElement(s, PairVector.zero(N_STRANDS))
     x, v0 = reference_pair()
-    d3, d7 = x, power(v0, j)
-    theta = pure_conjugator((conjugate(g3, rho), conjugate(g7, rho)), (d3, d7))
+    theta = pure_conjugator((conjugate(g3, rho), conjugate(g7, rho)), (x, v0))
     if theta is None:
-        raise VerificationError("no lattice vector carries the matched pair onto (x, v0^j)")
+        raise VerificationError("no lattice vector carries the matched pair onto (x, v0)")
 
-    chain = (("cycle_match", rho), ("offset_shift", pure(theta)))
     total = mul(pure(theta), rho)
-    if conjugate(g3, total) != d3 or conjugate(g7, total) != d7:
-        raise VerificationError("composed conjugator does not match the chain")
-    if closure(QuotientElement.identity(N_STRANDS), (d3, d7)) != reference_group():
+    if conjugate(g3, total) != x or conjugate(g7, total) != v0:
+        raise VerificationError("composed conjugator does not carry the pair onto (x, v0)")
+    if closure(QuotientElement.identity(N_STRANDS), (x, v0)) != reference_group():
         raise VerificationError("image subgroup does not match the reference")
-    return StandardizationResult(
-        conjugator=total, chain=chain, power=j, image_x=d3, image_y=d7
-    )
+    return StandardizationResult(conjugator=total, power=1)

@@ -17,6 +17,17 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 T = TypeVar("T")
 Images = bytes | tuple[int, ...]
 
+#: The integer syntax of all text input.  ``int`` alone would also take
+#: ``+``, ``_``, blanks and non-ASCII digits such as ``"٢"``.
+INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """``text`` as an integer if all of it matches :data:`INTEGER`."""
+    if INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
 
 class Permutation:
     """A bijection of ``{1..n}``; ``images`` is the tuple ``p(1), ..., p(n)``.
@@ -95,7 +106,8 @@ class Permutation:
         text = text.strip()
         if text in ("", "()"):
             return Permutation.identity(n)
-        if not re.fullmatch(r"(\(\s*\d+(\s*,\s*\d+)*\s*\))+", text):
+        point = INTEGER.pattern
+        if not re.fullmatch(rf"(\(\s*{point}(\s*,\s*{point})*\s*\))+", text):
             raise ValueError(f"bad cycle notation: {text!r}")
         cycles = [
             [int(a) for a in group.split(",")]

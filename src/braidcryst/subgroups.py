@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .braidword import BraidWord, PairVector, pair_images, pair_index, pairs, pure_generator_word
-from .permutation import CLOSURE_LIMIT, Permutation, Record, StabilizerChain, all_permutations, closure
+from .permutation import CLOSURE_LIMIT, Permutation, Record, StabilizerChain, closure
 from .quotient import QuotientElement, basis_orbits, normalize, power
 
 
@@ -53,18 +53,12 @@ def holonomy_det(p: Permutation) -> int:
 
 
 def pair_representation_faithful(n: int) -> bool:
-    """Is the pair action of S_n faithful?  Exhaustive for n <= 7; beyond
-    that any non-identity permutation moving i lets the pair {i, k} move for
-    every k outside {i, p(i)}, so the answer is True for all n >= 3."""
+    """Is the pair action of S_n faithful?  For n >= 3 a non-identity
+    permutation moving i moves the pair {i, k} for every k outside
+    {i, p(i)}, so it is; S_2 fixes its one pair."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if n > 7:
-        return True
-    fixed = list(range(n * (n - 1) // 2))
-    for p in all_permutations(n):
-        if not p.is_identity() and pair_images(p) == fixed:
-            return False
-    return True
+    return n >= 3
 
 
 class HolonomySubgroup(Record):

@@ -23,7 +23,7 @@ import math
 from functools import lru_cache
 
 from .braidword import BraidWord, PairVector, VerificationError
-from .permutation import Permutation, Record
+from .permutation import Permutation, Record, parse_int
 from .quotient import (
     QuotientElement,
     basis_orbits,
@@ -59,7 +59,7 @@ class BlockSpec(Record):
     @staticmethod
     def from_text(n: int, text: str) -> "BlockSpec":
         text = text.strip()
-        blocks = tuple(int(tok) for tok in text.split(",")) if text else ()
+        blocks = tuple(parse_int(tok.strip()) for tok in text.split(",")) if text else ()
         return BlockSpec(n, blocks)
 
     def offsets(self) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ from braidcryst.frobenius import (
     default_offset,
     defect,
     family_member,
+    recover_parameters,
     solve_family,
     standardize_frobenius,
     subgroup_closure,
@@ -127,7 +128,7 @@ def _criterion_3():
     for r in samples:
         N = family_member(r)
         assert fam.contains(N)
-        assert fam.parameters(N) == r
+        assert recover_parameters(N) == r
         assert defect(x, mul(pure(N), y)).is_zero()
 
 
@@ -151,7 +152,7 @@ def _criterion_4():
         res = standardize_frobenius(g3, g7)
         assert conjugate(g3, res.conjugator) == w.x
         assert conjugate(g7, res.conjugator) == power(w.v, res.power)
-        assert 1 <= res.power <= 6
+        assert res.power == 1
         image = set(subgroup_closure(conjugate(g3, res.conjugator), conjugate(g7, res.conjugator)))
         assert image == target
         checked += 1

@@ -218,7 +218,7 @@ def test_frobenius_family_sample_is_bounded():
         code, out, err = _call("frobenius", "family", "--sample", value)
         assert (code, out) == (2, ""), value
         assert [line for line in err if "error:" in line] == [
-            f"braidcryst frobenius: error: argument --sample: must be an integer in 0..1000, "
+            f"braidcryst frobenius family: error: argument --sample: must be an integer in 0..1000, "
             f"got {value!r}"
         ]
 
@@ -236,6 +236,86 @@ def test_frobenius_conjugator_requires_r():
     with pytest.raises(SystemExit) as info:
         main(["frobenius", "conjugator"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobenius", "verify", "--sample", "3", "--r", "x"],
+        ["frobenius", "verify", "--r", "1,0,0,0,0,0"],
+        ["frobenius", "family", "--offset-json", "5"],
+        ["frobenius", "family", "--r", "1,0,0,0,0,0"],
+        ["frobenius", "conjugator", "--r", "1,0,0,0,0,0", "--sample", "3"],
+        ["frobenius", "conjugator", "--r", "1,0,0,0,0,0", "--offset-json", "{}"],
+    ],
+)
+def test_frobenius_subcommands_take_only_their_own_options(argv):
+    code, out, err = _call(*argv)
+    assert (code, out) == (2, "")
+    assert len(err) == 1 and "error: unrecognized arguments: " in err[0], err
+
+
+def test_frobenius_conjugator_takes_a_negative_first_parameter():
+    code, out, err = _call("frobenius", "conjugator", "--r", "-1,0,0,0,0,0")
+    assert (code, err) == (0, [])
+    assert _call("frobenius", "conjugator", "--r=-1,0,0,0,0,0") == (0, out, [])
+    for value in ("1,0,0,0,0", "1,0,0,0,0,x", "+1,0,0,0,0,0", "1,0,0,0,0,\u0660"):
+        code, out, err = _call("frobenius", "conjugator", "--r", value)
+        assert (code, out) == (2, "")
+        assert err == [
+            "braidcryst frobenius conjugator: error: argument --r: "
+            f"expects six comma-separated integers, got {value!r}"
+        ]
+
+
+def test_count_classes_needs_positive_k():
+    for value in ("0", "-3", "x", "\u0663"):
+        code, out, err = _call("--n", "5", "count-classes", "--k", value)
+        assert (code, out) == (2, "")
+        assert err == [
+            f"braidcryst count-classes: error: argument --k: must be an integer >= 1, got {value!r}"
+        ]
+    assert _call("--n", "5", "count-classes", "--k", "1")[:2] == (0, "1\n")
+
+
+#: Text that ``int`` or a regex ``\d`` would read as integers.
+LOOSE_INTEGERS = [
+    ["--n", "3", "nf", "1_0"],
+    ["--n", "3", "nf", "+1 \u0662"],
+    ["--n", "\u0663", "nf", "1"],
+    ["--n", "1_0", "nf", "1"],
+    ["--n", " 3", "nf", "1"],
+    ["--n", "7", "delta", "--blocks", " 3 , +3 "],
+    ["--n", "5", "torsion-witness", "(1,\u0662,3)"],
+    ["order", '{"n":3,"perm":[1,2,3],"vec":{"\u0661,\u0662":1}}'],
+    ["--n", "3", "pow", "1", "\u0663"],
+    ["--n", "7", "alpha", "--k", "+3"],
+    ["--seed", "1_0", "frobenius", "family"],
+]
+
+
+@pytest.mark.parametrize("argv", LOOSE_INTEGERS)
+def test_integers_are_ascii_digits(argv):
+    code, out, err = _call(*argv)
+    assert code in (1, 2) and out == ""
+    assert len(err) == 1 and "error: " in err[0], err
+
+
+def test_integers_past_the_digit_limit_give_one_error_line():
+    digits = "1" + "0" * 4400
+    line = "error: an integer is past the 4300-digit limit on reading and printing integers"
+    # reading one from element JSON
+    element = '{"n":3,"perm":[1,2,3],"vec":{"1,2":%s}}' % digits
+    assert _call("--n", "3", "order", element) == (1, "", [line])
+    # printing one: the vector of sigma_1^20 is 10 at {1,2}, so 5 * 10^4299
+    # copies of it reach 4301 digits
+    word = " ".join(["1"] * 20)
+    for flag in ([], ["--json"]):
+        assert _call(*flag, "--n", "3", "pow", word, "5" + "0" * 4299) == (1, "", [line])
+    # reading one as an option value
+    code, out, err = _call("--n", digits, "nf", "1")
+    assert (code, out) == (2, "")
+    assert err == [f"braidcryst: error: argument --n: {line.removeprefix('error: ')}"]
 
 
 def test_abelian_realization_command(capsys):
@@ -343,7 +423,8 @@ def test_strand_count_below_two_is_a_usage_error():
         (["frobnicate"], "braidcryst: error: argument command: invalid choice: 'frobnicate' "),
         (["--n", "3", "mul", "1"], "braidcryst mul: error: the following arguments are required: right"),
         (["--n", "x", "nf", "1"], "braidcryst: error: argument --n: must be an integer >= 2, got 'x'"),
-        (["frobenius", "conjugator"], "braidcryst: error: frobenius conjugator requires --r"),
+        (["frobenius", "conjugator"],
+         "braidcryst frobenius conjugator: error: the following arguments are required: --r"),
         (["--n", "3", "nf", "1", "a\nb"], "braidcryst: error: unrecognized arguments: a b"),
     ],
     ids=["invalid-verb", "missing-positional", "bad-n", "conjugator-without-r", "newline"],
@@ -357,7 +438,7 @@ def test_usage_error_is_one_line(argv, line):
 def test_help_is_not_an_error():
     code, out, err = _call("frobenius", "-h")
     assert (code, err) == (0, [])
-    assert out.startswith("usage: braidcryst frobenius [-h] [--offset-json OFFSET_JSON]")
+    assert out.startswith("usage: braidcryst frobenius [-h] {verify,family,conjugator} ...")
     assert "\npositional arguments:\n" in out
 
 
@@ -412,15 +493,21 @@ SHAPES = {
     "delta": (0, ("--blocks", "--emit-word")), "alpha": (0, ("--r", "--k")),
     "orbits": (1, ("--blocks",)), "conjugate-test": (2, ()), "conjugator": (1, ()),
     "torsion-witness": (1, ()), "count-classes": (0, ("--k",)), "holonomy": (1, ()),
-    "bieberbach": (2, ()), "b3-catalog": (0, ()),
-    "frobenius": (1, ("--offset-json", "--r", "--sample")),
+    "bieberbach": (2, ()), "b3-catalog": (0, ()), "frobenius": (1, ()),
     "abelian-realization": (0, ("--blocks",)),
+}
+
+#: Options of each frobenius subcommand, the positional of ``frobenius``.
+FROBENIUS_SHAPES = {
+    "verify": ("--offset-json",), "family": ("--sample",), "conjugator": ("--r",),
 }
 
 
 def test_fuzz_shapes_cover_every_verb():
     _, _, err = _call("frobnicate")
     assert err[0].endswith(f"(choose from {', '.join(map(repr, SHAPES))})")
+    _, _, err = _call("frobenius", "frobnicate")
+    assert err[0].endswith(f"(choose from {', '.join(map(repr, FROBENIUS_SHAPES))})")
 
 
 def _argument(n):
@@ -437,7 +524,8 @@ def _argument(n):
         | st.sampled_from([3, 3000]).map(lambda d: '{"n": ' + "[" * d + "]" * d + "}")
         | st.lists(st.integers(-1, 9), max_size=3).map(lambda b: ",".join(map(str, b)))
         | st.integers(-3, 12).map(str)
-        | st.sampled_from(["verify", "family", "conjugator", "1,0,0,0,0,0", "--json", "--k", "-h"])
+        | st.sampled_from(["verify", "family", "conjugator", "1,0,0,0,0,0", "-1,0,0,0,0,0",
+                           "--json", "--k", "-h"])
         | st.text(max_size=8)
         | st.integers(-10**6, 10**6).map(str)
     )
@@ -453,6 +541,13 @@ def _argv(draw):
     argv += draw(st.lists(st.sampled_from(["--json", "--element-json"]), unique=True))
     count = max(arity + draw(st.sampled_from([0, 0, 0, 0, 1, -1])), 0)
     argv += [verb, *(draw(argument) for _ in range(count))]
+    if verb == "frobenius" and count:
+        # mostly a real subcommand, with its own options or another one's
+        at = len(argv) - count
+        step = argv[at] = draw(st.sampled_from([*FROBENIUS_SHAPES, argv[at]]))
+        options = FROBENIUS_SHAPES.get(step, ())
+        if draw(st.sampled_from([False, False, False, True])):
+            options = draw(st.sampled_from(tuple(FROBENIUS_SHAPES.values())))
     for option in options:
         if draw(st.sampled_from([True, True, True, False])):
             argv += [option] if option == "--emit-word" else [option, draw(argument)]

@@ -13,7 +13,9 @@ from braidcryst.conjugacy import (
     standard_form,
 )
 from braidcryst.quotient import (
+    INFINITE,
     QuotientElement,
+    basis_element,
     conjugate,
     element_order,
     mul,
@@ -27,7 +29,7 @@ from braidcryst.torsion import (
     torsion_element,
     torsion_witness,
 )
-from braidcryst.permutation import all_permutations
+from braidcryst.permutation import Permutation, all_permutations
 
 
 def random_element(n, rng, max_len=10):
@@ -175,3 +177,61 @@ def test_witness_right_multiplied_by_centralizer_still_works():
     _, witness = are_conjugate(g, h)
     # witness * g conjugates g to h as well since g centralizes itself
     assert conjugate(g, mul(witness, g)) == h
+
+
+def test_are_conjugate_orders_each_input_once(monkeypatch):
+    import braidcryst.conjugacy as conjugacy
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return element_order(g)
+
+    monkeypatch.setattr(conjugacy, "element_order", counted)
+    rng = random.Random(41)
+    delta = torsion_element(BlockSpec(4, (3,)))
+    finite = conjugate(delta, random_element(4, rng))
+    infinite = mul(delta, basis_element(4, 1, 4))
+    assert element_order(infinite) is INFINITE
+    assert infinite.perm.cycle_type() == delta.perm.cycle_type()
+    sigma = normalize(BraidWord.from_text(4, "1"))
+    cases = [
+        (delta, finite, True),
+        (delta, infinite, False),
+        (infinite, delta, False),
+        (sigma, conjugate(sigma, normalize(BraidWord.from_text(4, "2 3"))), None),
+    ]
+    for g, h, verdict in cases:
+        calls.clear()
+        found, witness = are_conjugate(g, h)
+        assert found is verdict
+        assert (witness is not None) == (verdict is True)
+        assert calls == [g, h]
+
+
+def test_conjugacy_checks_raise_when_planted_false(monkeypatch):
+    import braidcryst.conjugacy as conjugacy
+    from braidcryst import VerificationError
+
+    rng = random.Random(43)
+    delta = torsion_element(BlockSpec(5, (3,)))
+    g = conjugate(delta, random_element(5, rng))
+    h = conjugate(delta, random_element(5, rng))
+    assert g != h and are_conjugate(g, h)[0]
+    with monkeypatch.context() as m:
+        m.setattr(BlockSpec, "target_permutation", lambda spec: Permutation.identity(spec.n))
+        with pytest.raises(VerificationError, match="block permutation"):
+            standard_form(g)
+    for plant, message in [
+        (lambda sources, targets: None, "no lattice vector"),
+        (lambda sources, targets: PairVector.basis(5, 1, 2), "conjugator does not reach"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(conjugacy, "pure_conjugator", plant)
+            with pytest.raises(VerificationError, match=message):
+                conjugator_to_standard(g)
+    with monkeypatch.context() as m:
+        m.setattr(conjugacy, "conjugator_to_standard", lambda e: QuotientElement.identity(e.n))
+        with pytest.raises(VerificationError, match="witness"):
+            are_conjugate(g, h)

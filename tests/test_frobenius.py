@@ -95,10 +95,8 @@ def test_family_solves_and_has_rank_six():
     rng = random.Random(43)
     for _ in range(40):
         r = tuple(rng.randint(-5, 5) for _ in range(6))
-        N = fam.member(r)
+        N = family_member(r)
         assert fam.contains(N)
-        assert fam.parameters(N) == r
-        assert family_member(r) == N
         assert recover_parameters(N) == r
 
 
@@ -219,20 +217,56 @@ def test_standardize_trivial():
     res = standardize_frobenius(w.x, w.v)
     assert res.conjugator.is_identity()
     assert res.power == 1
-    assert res.image_x == w.x
-    assert res.image_y == w.v
-    assert conjugate(w.x, res.conjugator) == res.image_x
+    assert conjugate(w.x, res.conjugator) == w.x
+    assert conjugate(w.v, res.conjugator) == w.v
 
 
 def test_standardize_powers_of_v():
-    # the reported exponent is verified but need not equal the input power:
-    # the permutation match may carry v0^j onto another power of v0
+    # (x, v0^j) is a Frobenius pair for every j coprime to 7, and like every
+    # such pair it is carried onto (x, v0) itself, not onto (x, v0^j)
     w = build_frobenius()
     for j in range(1, 7):
         res = standardize_frobenius(w.x, power(w.v, j))
-        assert 1 <= res.power <= 6
-        assert conjugate(power(w.v, j), res.conjugator) == power(w.v, res.power)
-        assert res.image_x == w.x
+        assert res.power == 1
+        assert conjugate(power(w.v, j), res.conjugator) == w.v
+        assert conjugate(w.x, res.conjugator) == w.x
+
+
+def test_rotation_match_fits_every_relabeling_of_the_reference_permutations():
+    # S_7 acts freely and transitively on the pairs (t, z) of a 7-cycle z and
+    # a t with t z t^-1 = z^2: the 5040 conjugates of (BETA, ALPHA) are
+    # distinct, and a rotation of the cycle of z carries each one back onto
+    # (BETA, ALPHA) itself, by the one permutation that can
+    from braidcryst.frobenius import _cycle_match
+    from braidcryst.permutation import all_permutations
+
+    pairs_seen = set()
+    for u in all_permutations(7):
+        t, z = u * BETA * u.inverse(), u * ALPHA * u.inverse()
+        pairs_seen.add((t, z))
+        assert _cycle_match(t, z) == u.inverse()
+    assert len(pairs_seen) == 5040
+
+
+def test_standardization_checks_raise_when_planted_false(monkeypatch):
+    import braidcryst.frobenius as f
+    from braidcryst import VerificationError
+
+    w = build_frobenius()
+    g3, g7 = conjugate(w.x, w.v), conjugate(w.v, w.v)
+    assert standardize_frobenius(g3, g7).power == 1
+    plants = [
+        ("_cycle_match", lambda t, z: None, "no permutation carries"),
+        ("pure_conjugator", lambda sources, targets: None, "no lattice vector"),
+        ("pure_conjugator", lambda sources, targets: PairVector.basis(7, 1, 2),
+         "composed conjugator"),
+        ("reference_group", lambda: frozenset([w.x, w.v]), "image subgroup"),
+    ]
+    for name, plant, message in plants:
+        with monkeypatch.context() as m:
+            m.setattr(f, name, plant)
+            with pytest.raises(VerificationError, match=message):
+                standardize_frobenius(g3, g7)
 
 
 def test_standardize_random_conjugates():

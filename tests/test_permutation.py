@@ -14,6 +14,7 @@ from braidcryst.permutation import (
     StabilizerChain,
     all_permutations,
     closure,
+    parse_int,
 )
 from holonomy_oracle import generator_sets
 
@@ -48,6 +49,29 @@ def test_from_text_rejects_garbage():
         Permutation.from_text(3, "(1,4)")
     with pytest.raises(ValueError):
         Permutation.from_text(3, "(1,1)")
+
+
+def test_text_integers_are_ascii_digits():
+    from braidcryst.braidword import BraidWord, PairVector
+    from braidcryst.torsion import BlockSpec
+
+    assert [parse_int(t) for t in ("0", "7", "-12", "007")] == [0, 7, -12, 7]
+    for text in ("", "-", "+1", "1_0", " 1", "1 ", "1.0", "\u0662", "1\n", "\uff11"):
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_int(text)
+    # every text parser reads its integers by that one rule
+    assert BlockSpec.from_text(7, " 3 , 3 ").blocks == (3, 3)
+    assert Permutation.from_text(3, "( 1 , 3 )") == Permutation((3, 2, 1))
+    for parse in (
+        lambda: BraidWord.from_text(3, "1_0"),
+        lambda: BraidWord.from_text(3, "+1 \u0662"),
+        lambda: BlockSpec.from_text(7, " 3 , +3 "),
+        lambda: Permutation.from_text(5, "(1,\u0662,3)"),
+        lambda: PairVector.from_json(3, {"\u0661,\u0662": 1}),
+        lambda: PairVector.from_json(3, {"1,+2": 1}),
+    ):
+        with pytest.raises(ValueError):
+            parse()
 
 
 def test_composition_is_left_to_right():

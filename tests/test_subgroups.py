@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from braidcryst.braidword import BraidWord, PairVector, pairs
+from braidcryst.braidword import BraidWord, PairVector, pair_images, pairs
 from braidcryst.permutation import Permutation, all_permutations
 from braidcryst.quotient import element_order, mul, normalize, power, pure
 from braidcryst.subgroups import (
@@ -63,9 +63,14 @@ def test_holonomy_matrices_are_permutation_matrices():
 
 
 def test_pair_representation_faithful():
-    assert not pair_representation_faithful(2)
-    for n in range(3, 8):
-        assert pair_representation_faithful(n)
+    # oracle: no non-identity permutation of S_n fixes every pair
+    for n in range(2, 8):
+        fixed = list(range(n * (n - 1) // 2))
+        kernel = [p for p in all_permutations(n) if pair_images(p) == fixed]
+        assert pair_representation_faithful(n) is (len(kernel) == 1)
+    assert pair_representation_faithful(100)
+    with pytest.raises(ValueError):
+        pair_representation_faithful(1)
 
 
 def test_holonomy_subgroup_enumeration():
