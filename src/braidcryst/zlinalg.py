@@ -1,6 +1,6 @@
 """Exact integer linear algebra: Hermite and Smith normal forms with
-transforms, integer linear solving, and finitely generated abelian group
-invariants.
+transforms, integer linear solving, lattice membership, and finitely
+generated abelian group invariants.
 
 A matrix is a list of rows, each a list of python ints, so entries never
 overflow and no floating point is involved.  Inputs may be lists or tuples
@@ -12,6 +12,12 @@ Row convention throughout: ``hnf`` returns ``(H, U)`` with ``U @ M = H`` and
 ``U`` unimodular; ``snf`` returns ``(D, U, V)`` with ``U @ M @ V = D``
 diagonal and ``d1 | d2 | ...``.
 
+One Hermite elimination serves ``hnf`` and, with no transform, the lattice
+functions.  Its pivot is the row of least nonzero ``|entry|`` in the column,
+and the rows below lose nearest-integer multiples of it, which keeps ``U``
+small (Cohen, GTM 138, section 2.4).  ``U`` is one valid transform, not a
+canonical one.
+
 >>> hnf([[2, 4], [1, 3]])
 ([[1, 1], [0, 2]], [[1, -1], [-1, 2]])
 """
@@ -20,6 +26,8 @@ from __future__ import annotations
 
 from operator import mul
 from typing import Sequence
+
+from .permutation import parse_int
 
 Matrix = list[list[int]]
 MatrixLike = Sequence[Sequence[int]]
@@ -60,9 +68,8 @@ def _sub_multiple(x: list[int], q: int, y: list[int]) -> list[int]:
 
 def parse_matrix(text: str) -> Matrix:
     """Rows of space-separated integers, one row per line."""
-    return as_int_matrix(
-        [[int(tok) for tok in line.split()] for line in text.strip().splitlines() if line.strip()]
-    )
+    lines = [line for line in text.strip().splitlines() if line.strip()]
+    return as_int_matrix([[parse_int(tok) for tok in line.split()] for line in lines])
 
 
 def format_matrix(M: MatrixLike) -> str:
@@ -73,42 +80,63 @@ def identity_matrix(n: int) -> Matrix:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
+def _echelon(H: Matrix, U: Matrix | None) -> None:
+    """Bring ``H`` to Hermite normal form in place, applying every row
+    operation to ``U`` as well unless it is ``None``."""
+    m = len(H)
+    row = 0
+    for col in range(_width(H)):
+        if row == m:
+            break
+        while True:
+            live = [r for r in range(row, m) if H[r][col]]
+            if not live:
+                break
+            pivot = min(live, key=lambda r: abs(H[r][col]))
+            if pivot != row:
+                H[row], H[pivot] = H[pivot], H[row]
+                if U is not None:
+                    U[row], U[pivot] = U[pivot], U[row]
+            if len(live) == 1:
+                break
+            piv = H[row][col]
+            for r in range(row + 1, m):
+                a = H[r][col]
+                if a:
+                    q = (2 * a + piv) // (2 * piv)  # nearest integer to a / piv
+                    H[r] = _sub_multiple(H[r], q, H[row])
+                    if U is not None:
+                        U[r] = _sub_multiple(U[r], q, U[row])
+        if not live:
+            continue
+        if H[row][col] < 0:
+            H[row] = [-a for a in H[row]]
+            if U is not None:
+                U[row] = [-a for a in U[row]]
+        for r in range(row):
+            q = H[r][col] // H[row][col]
+            if q:
+                H[r] = _sub_multiple(H[r], q, H[row])
+                if U is not None:
+                    U[r] = _sub_multiple(U[r], q, U[row])
+        row += 1
+
+
 def hnf(M: MatrixLike) -> tuple[Matrix, Matrix]:
     """Row-style Hermite normal form.
 
     Returns ``(H, U)``, both lists of rows, with ``U @ M = H``, ``U``
     unimodular, ``H`` in row echelon form with positive pivots and the
-    entries above each pivot reduced into ``[0, pivot)``.
+    entries above each pivot reduced into ``[0, pivot)``.  ``H`` is the
+    unique HNF of the row lattice of ``M``; ``U`` is one valid transform,
+    not a canonical one.  In each column the pivot is the row at or below
+    the current one with the least nonzero ``|entry|``, and the rows below
+    it lose nearest-integer multiples of it until the column below the
+    pivot is zero; this keeps the entries of ``U`` small.
     """
     H = as_int_matrix(M)
-    m = len(H)
-    U = identity_matrix(m)
-    row = 0
-    for col in range(_width(H)):
-        # gcd-eliminate everything below `row` in this column
-        pivot = next((r for r in range(row, m) if H[r][col] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != row:
-            H[row], H[pivot] = H[pivot], H[row]
-            U[row], U[pivot] = U[pivot], U[row]
-        for r in range(row + 1, m):
-            while H[r][col] != 0:
-                q = H[row][col] // H[r][col]
-                if q:
-                    H[row] = _sub_multiple(H[row], q, H[r])
-                    U[row] = _sub_multiple(U[row], q, U[r])
-                H[row], H[r] = H[r], H[row]
-                U[row], U[r] = U[r], U[row]
-        if H[row][col] < 0:
-            H[row] = [-a for a in H[row]]
-            U[row] = [-a for a in U[row]]
-        for r in range(row):
-            q = H[r][col] // H[row][col]
-            if q:
-                H[r] = _sub_multiple(H[r], q, H[row])
-                U[r] = _sub_multiple(U[r], q, U[row])
-        row += 1
+    U = identity_matrix(len(H))
+    _echelon(H, U)
     return H, U
 
 
@@ -233,16 +261,36 @@ def kernel_basis(M: MatrixLike) -> list[list[int]]:
 
 def row_lattice_hnf(rows: MatrixLike) -> Matrix:
     """Canonical basis (nonzero HNF rows) of the lattice spanned by ``rows``."""
-    H, _ = hnf(rows)
+    H = as_int_matrix(rows)
+    _echelon(H, None)
     return [row for row in H if any(row)]
 
 
 def lattice_contains(rows: MatrixLike, v: Sequence[int]) -> bool:
-    """Is ``v`` in the row lattice of ``rows``?"""
+    """Is ``v`` in the row lattice of ``rows``?
+
+    ``v`` is reduced against the HNF basis one pivot at a time; it is a
+    member exactly when nothing is left.
+
+    >>> lattice_contains([[2, 0], [0, 3]], [4, -3])
+    True
+    >>> lattice_contains([[2, 0], [0, 3]], [1, 0])
+    False
+    """
     M = as_int_matrix(rows)
+    v = _int_vector(v)
     if not _width(M):
-        return not any(_int_vector(v))
-    return solve_integer([list(col) for col in zip(*M)], v) is not None
+        return not any(v)
+    if len(v) != _width(M):
+        raise ValueError("vector length does not match the rows")
+    for row in row_lattice_hnf(M):
+        col = next(j for j, a in enumerate(row) if a)
+        q, rest = divmod(v[col], row[col])
+        if rest:
+            return False
+        if q:
+            v = _sub_multiple(v, q, row)
+    return not any(v)
 
 
 def lattices_equal(rows_a: MatrixLike, rows_b: MatrixLike) -> bool:
@@ -253,12 +301,15 @@ def abelianization(relations: MatrixLike, generators: int) -> tuple[int, list[in
     """Invariants of the abelian group ``Z^generators / row-span(relations)``.
 
     Returns ``(free_rank, invariant_factors)`` with the factors > 1 and each
-    dividing the next.
+    dividing the next.  ``generators`` must be a non-negative ``int`` and
+    every relation row must have that many entries.
     """
+    if type(generators) is not int:
+        raise TypeError(f"generator count must be an int, got {type(generators).__name__}")
+    if generators < 0:
+        raise ValueError("generator count must be non-negative")
     R = as_int_matrix(relations)
-    if not _width(R):
-        return generators, []
-    if len(R[0]) != generators:
+    if R and len(R[0]) != generators:
         raise ValueError("relation width does not match generator count")
     D, _, _ = snf(R)
     diag = diagonal(D)

@@ -95,6 +95,19 @@ def test_hnf_properties():
         assert is_hnf(H)
 
 
+def test_hnf_transform_stays_small_on_dense_input():
+    # an elimination without size control reaches U entries of hundreds to
+    # thousands of digits at this size
+    rng = random.Random(11)
+    for _ in range(4):
+        M = random_matrix(rng, 20, 18, bound=5)
+        H, U = hnf(M)
+        assert matmul(U, M) == H
+        assert abs(exact_det(U)) == 1
+        assert is_hnf(H)
+        assert max(abs(a) for row in U for a in row) < 10**200
+
+
 def test_snf_matches_determinantal_divisors():
     rng = random.Random(1)
     for _ in range(30):
@@ -162,6 +175,27 @@ def test_lattice_membership():
     assert lattices_equal([[2, 1], [0, 1]], [[0, 1], [2, 0]])
 
 
+def test_row_lattice_and_membership_agree_with_hnf_and_solve():
+    # row_lattice_hnf skips the transform and lattice_contains reduces by
+    # the HNF; hnf and an integer solve of the transposed system are the
+    # references
+    rng = random.Random(12)
+    shapes = [(7, 3), (3, 7), (5, 5), (0, 4), (4, 1), (1, 4)]
+    for trial in range(60):
+        rows, cols = shapes[trial % len(shapes)]
+        M = random_matrix(rng, rows, cols)
+        if trial // len(shapes) % 2 and rows > 1:  # rank deficient
+            M = [[rng.randint(-2, 2) * a + rng.randint(-1, 1) * b for a, b in zip(M[0], M[1])]
+                 for _ in range(rows)]
+        assert row_lattice_hnf(M) == [row for row in hnf(M)[0] if any(row)]
+        transposed = [list(col) for col in zip(*M)] or [[] for _ in range(cols)]
+        member = [sum(rng.randint(-3, 3) * row[j] for row in M) for j in range(cols)]
+        for v in (member, [rng.randint(-4, 4) for _ in range(cols)], [a + 1 for a in member]):
+            assert lattice_contains(M, v) == (solve_integer(transposed, v) is not None)
+    with pytest.raises(ValueError):
+        lattice_contains([[1, 2]], [1, 2, 3])
+
+
 def test_lattices_equal_under_unimodular_change():
     rng = random.Random(4)
     for _ in range(20):
@@ -178,6 +212,24 @@ def test_abelianization_examples():
     assert abelianization([[0, 0]], 2) == (2, [])
     # trivial group
     assert abelianization([[1, 0], [0, 1]], 2) == (0, [])
+    assert abelianization([], 0) == (0, [])
+
+
+@pytest.mark.parametrize("generators", [True, 2.0, "2", None])
+def test_abelianization_generator_count_must_be_an_int(generators):
+    with pytest.raises(TypeError):
+        abelianization([], generators)
+    with pytest.raises(TypeError):
+        abelianization([[2, 0]], generators)
+
+
+def test_abelianization_rejects_negative_counts_and_mismatched_widths():
+    with pytest.raises(ValueError):
+        abelianization([], -3)
+    with pytest.raises(ValueError):
+        abelianization([[]], 2)
+    with pytest.raises(ValueError):
+        abelianization([[1, 2, 3]], 2)
 
 
 def test_parse_and_format():
@@ -250,8 +302,9 @@ def test_ragged_rows_are_rejected(fn):
 def test_parse_matrix_rejects_ragged_and_non_integer_text():
     with pytest.raises(ValueError):
         parse_matrix("1 2\n3")
-    with pytest.raises(ValueError):
-        parse_matrix("1 2.5")
+    for text in ("1 2.5", "1_0 2", "٢ 1", "+3 4"):
+        with pytest.raises(ValueError):
+            parse_matrix(text)
 
 
 @pytest.mark.parametrize("bad", [[1.0], [True], ["1"], [None], "1", 1])
