@@ -10,7 +10,7 @@ import sys
 #: Public names by the submodule that defines them.
 EXPORTS = {
     "permutation": (
-        "CycleType", "Permutation", "StabilizerChain", "all_permutations", "parse_int"
+        "CycleType", "Permutation", "StabilizerChain", "conjugating_permutation", "parse_int"
     ),
     "braidword": (
         "BraidWord", "NotPureError", "PairVector", "VerificationError",
@@ -20,7 +20,8 @@ EXPORTS = {
     "quotient": (
         "INFINITE", "QuotientElement", "action_on_basis", "basis_element",
         "basis_orbits", "canonical_lift", "conjugate", "element_order", "embed",
-        "inverse", "mul", "normalize", "power", "pure", "pure_conjugator", "to_word"
+        "inverse", "mul", "normalize", "power", "pure", "pure_conjugator",
+        "subgroup_conjugator", "to_word"
     ),
     "torsion": (
         "BlockSpec", "abelian_realization", "block_cycle", "block_cycle_word",
@@ -30,18 +31,17 @@ EXPORTS = {
     ),
     "conjugacy": (
         "InfiniteOrderError", "are_conjugate", "conjugator_to_standard",
-        "count_conjugacy_classes", "standard_form"
+        "count_conjugacy_classes"
     ),
     "orbits": (
         "OrbitTable", "closed_form_orbits", "enumerate_orbits", "relabeled_basis"
     ),
     "zlinalg": (
-        "abelianization", "hnf", "kernel_basis", "lattice_contains", "lattices_equal",
-        "snf", "solve_integer"
+        "abelianization", "hnf", "lattice_contains", "lattices_equal", "snf",
+        "solve_integer"
     ),
     "subgroups": (
-        "HolonomySubgroup", "PreimageDescriptor", "holonomy_det", "holonomy_matrix",
-        "is_bieberbach", "pair_representation_faithful", "preimage_subgroup",
+        "HolonomySubgroup", "holonomy_det", "holonomy_matrix", "is_bieberbach",
         "sublattice_is_torsion_free", "three_strand_catalog", "torsion_certificate"
     ),
     "frobenius": (

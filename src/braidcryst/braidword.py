@@ -98,16 +98,6 @@ class BraidWord(Record):
     def inverse(self) -> "BraidWord":
         return BraidWord(self.n, tuple(-e for e in reversed(self.letters)))
 
-    def free_reduced(self) -> "BraidWord":
-        """Cancel adjacent inverse letters until none remain."""
-        out: list[int] = []
-        for e in self.letters:
-            if out and out[-1] == -e:
-                out.pop()
-            else:
-                out.append(e)
-        return BraidWord(self.n, tuple(out))
-
     def permutation(self) -> Permutation:
         """Strand ``s`` goes to its final position; first letter acts first."""
         order = list(range(1, self.n + 1))  # order[pos-1] = strand at position pos
@@ -293,16 +283,6 @@ def pure_generator_word(n: int, i: int, j: int) -> BraidWord:
         raise ValueError(f"bad pair ({i},{j}) for n={n}")
     prefix = list(range(j - 1, i, -1))
     letters = prefix + [i, i] + [-k for k in reversed(prefix)]
-    return BraidWord(n, tuple(letters))
-
-
-def pure_generator_word_lower(n: int, i: int, j: int) -> BraidWord:
-    """Equivalent form of ``A[i,j]`` conjugating ``sigma_{j-1}^2`` up from
-    position ``i``; equal to :func:`pure_generator_word` in the braid group."""
-    if not 1 <= i < j <= n:
-        raise ValueError(f"bad pair ({i},{j}) for n={n}")
-    prefix = [-k for k in range(i, j - 1)]
-    letters = prefix + [j - 1, j - 1] + list(range(j - 2, i - 1, -1))
     return BraidWord(n, tuple(letters))
 
 

@@ -8,8 +8,9 @@ solves an integer linear system (21 conjugation equations plus one orbit-sum
 equation per y-orbit).  The solution set is an affine family of rank 6.
 All resulting subgroups ``<x, A^N y>`` form one conjugacy class: F21 acts
 freely on the 21 pairs, so two of its lifts with the same permutations differ
-by the pure conjugator that :func:`quotient.pure_conjugator` finds, which
-``standardize_frobenius`` applies after matching permutations.
+by the pure conjugator that :func:`quotient.pure_conjugator` finds, and
+``standardize_frobenius`` carries any F21 pair onto ``(x, v0)`` with
+:func:`quotient.subgroup_conjugator`.
 
 Everything here is specific to n = 7; use ``quotient.embed`` to place the
 witness on more strands.
@@ -31,6 +32,7 @@ from .quotient import (
     power,
     pure,
     pure_conjugator,
+    subgroup_conjugator,
 )
 from .zlinalg import lattices_equal, mat_vec, solve_integer
 
@@ -311,32 +313,18 @@ class StandardizationResult(Record):
         return {"conjugator": self.conjugator.to_json(), "power": self.power}
 
 
-def _cycle_match(t: Permutation, z: Permutation) -> Permutation | None:
-    """The ``s`` with ``s z s^-1 = ALPHA`` and ``s t s^-1 = BETA`` among the
-    7 rotations of the cycle of ``z``, or ``None``.  S_7 acts freely and
-    transitively on the pairs with ``t z t^-1 = z^2``, so one always fits."""
-    (cycle,) = z.cycles()
-    (target,) = ALPHA.cycles()
-    for r in range(7):
-        pairing = sorted(zip(target, cycle[r:] + cycle[:r]))
-        s = Permutation(tuple(b for _, b in pairing))
-        if s * z * s.inverse() == ALPHA and s * t * s.inverse() == BETA:
-            return s
-    return None
-
-
 def standardize_frobenius(
     g3: QuotientElement, g7: QuotientElement
 ) -> StandardizationResult:
     """A verified conjugator carrying ``(g3, g7)`` onto ``(x, v0)``.
 
     Requires ``g3^3 = g7^7 = 1`` and ``g3 g7 g3^-1 = g7^2`` on 7 strands.
-    The conjugator is the lift of the permutation ``s`` sending the
-    permutations of ``(g3, g7)`` to ``(BETA, ALPHA)``, then the lattice
-    vector :func:`quotient.pure_conjugator` finds from that pair to
-    ``(x, v0)``.  The reference pair and the 21 elements of ``<x, v0>`` are
-    built and checked once per process; the input checks, the composed
-    conjugator and the image group are checked on every call.
+    The conjugator is :func:`quotient.subgroup_conjugator` from the pair to
+    ``(x, v0)``.  One exists: S_7 acts freely and transitively on the pairs
+    of permutations with these relations, and the group the pair generates
+    is finite.  The reference pair and the 21 elements of ``<x, v0>`` are
+    built and checked once per process; the input checks, the conjugator and
+    the image group are checked on every call.
     """
     if g3.n != N_STRANDS or g7.n != N_STRANDS:
         raise NotFrobenius("generators must live on 7 strands")
@@ -347,18 +335,10 @@ def standardize_frobenius(
     if conjugate(g7, g3) != power(g7, 2):
         raise NotFrobenius("conjugation relation g3 g7 g3^-1 = g7^2 fails")
 
-    s = _cycle_match(g3.perm, g7.perm)
-    if s is None:
-        raise VerificationError("no permutation carries the pair onto (BETA, ALPHA)")
-    rho = QuotientElement(s, PairVector.zero(N_STRANDS))
     x, v0 = reference_pair()
-    theta = pure_conjugator((conjugate(g3, rho), conjugate(g7, rho)), (x, v0))
-    if theta is None:
-        raise VerificationError("no lattice vector carries the matched pair onto (x, v0)")
-
-    total = mul(pure(theta), rho)
-    if conjugate(g3, total) != x or conjugate(g7, total) != v0:
-        raise VerificationError("composed conjugator does not carry the pair onto (x, v0)")
+    c = subgroup_conjugator((g3, g7), (x, v0))
+    if c is None:
+        raise VerificationError("no conjugator carries the pair onto (x, v0)")
     if closure(QuotientElement.identity(N_STRANDS), (x, v0)) != reference_group():
         raise VerificationError("image subgroup does not match the reference")
-    return StandardizationResult(conjugator=total, power=1)
+    return StandardizationResult(conjugator=c, power=1)

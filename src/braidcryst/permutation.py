@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 import re
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 Images = bytes | tuple[int, ...]
@@ -188,9 +188,6 @@ class Permutation:
         a, b = self(i), self(j)
         return (a, b) if a < b else (b, a)
 
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self(i) == i)
-
     def __str__(self) -> str:
         cycles = self.cycles()
         if not cycles:
@@ -269,10 +266,55 @@ class CycleType(Record):
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """All of S_n in lexicographic image order (n! elements)."""
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
+def conjugating_permutation(
+    sources: Sequence[Permutation], targets: Sequence[Permutation]
+) -> Permutation | None:
+    """The lexicographically least ``s`` with ``s * a * s^-1 == b`` for each
+    source ``a`` and its target ``b``, or ``None`` when there is none.
+
+    ``s`` obeys ``s(b(x)) = a(s(x))``, so its value at one point fixes it on
+    that point's orbit under the targets.  Taken in ascending order, each
+    point not yet placed goes to the least unused point from which the rule
+    propagates over its orbit with no conflict and no point used twice.
+    This greedy choice is safe because isomorphism of marked transitive
+    actions is an equivalence relation.  The work is O(k n^2) for k pairs.
+
+    >>> a, b = Permutation.from_text(3, "(1,2,3)"), Permutation.from_text(3, "(1,3,2)")
+    >>> s = conjugating_permutation((a,), (b,))
+    >>> str(s), s * a * s.inverse() == b
+    ('(2,3)', True)
+    >>> conjugating_permutation((a,), (Permutation.from_text(3, "(1,2)"),)) is None
+    True
+    """
+    if not sources or len(sources) != len(targets):
+        raise ValueError("need one target for each of at least one source")
+    n = sources[0].n
+    if any(p.n != n for p in (*sources, *targets)):
+        raise ValueError("degree mismatch")
+    moves = [(a._images, b._images) for a, b in zip(sources, targets)]
+    s = [0] * (n + 1)  # s[x] for the points 1..n; 0 while x is unplaced
+    used = [False] * (n + 1)
+
+    def match_orbit(base: int, y: int) -> bool:
+        """Place ``s(base) = y`` and its orbit; on a conflict undo it all."""
+        s[base], used[y] = y, True
+        orbit = [base]
+        for x in orbit:
+            for a, b in moves:
+                z, w = b[x - 1], a[s[x] - 1]
+                if not s[z] and not used[w]:
+                    s[z], used[w] = w, True
+                    orbit.append(z)
+                elif s[z] != w:
+                    for placed in orbit:
+                        used[s[placed]], s[placed] = False, 0
+                    return False
+        return True
+
+    for base in range(1, n + 1):
+        if not s[base] and not any(match_orbit(base, y) for y in range(1, n + 1) if not used[y]):
+            return None
+    return Permutation(tuple(s[1:]))
 
 
 CLOSURE_LIMIT = 50_000

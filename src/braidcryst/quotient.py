@@ -39,7 +39,7 @@ from .braidword import (
     pairs,
     pure_word,
 )
-from .permutation import Permutation, Record
+from .permutation import Permutation, Record, conjugating_permutation
 
 #: Returned by :func:`element_order` for elements of infinite order.
 INFINITE = math.inf
@@ -300,6 +300,40 @@ def pure_conjugator(
     if any(conjugate(s, pure(vec)) != t for s, t in zip(sources, targets)):
         raise VerificationError("pure conjugator does not carry the sources onto the targets")
     return vec
+
+
+def subgroup_conjugator(
+    sources: Sequence[QuotientElement], targets: Sequence[QuotientElement]
+) -> QuotientElement | None:
+    """An element ``c`` with ``c s c^-1 == t`` for each source ``s`` and its
+    target ``t``, or ``None`` when none was found.
+
+    ``c`` is the lift, with zero vector, of the least permutation
+    :func:`permutation.conjugating_permutation` finds for the permutations,
+    followed by the lattice vector :func:`pure_conjugator` finds from the
+    conjugated sources to the targets.  Every conjugation is checked in the
+    engine (``VerificationError`` otherwise).  ``None`` proves the tuples
+    are not conjugate only when the sources generate a finite group: then
+    ``H^1(H, Z^N) = 0`` lets any conjugating permutation be completed, while
+    for an infinite group another permutation might succeed.
+
+    >>> g = QuotientElement(Permutation.from_text(3, "(1,2,3)"), PairVector.zero(3))
+    >>> h = conjugate(g, normalize(BraidWord.from_text(3, "1")))
+    >>> c = subgroup_conjugator((g,), (h,))
+    >>> str(c), conjugate(g, c) == h
+    ('(2,3) | {2,3}:-1', True)
+    """
+    s = conjugating_permutation([g.perm for g in sources], [h.perm for h in targets])
+    if s is None:
+        return None
+    rho = QuotientElement(s, PairVector.zero(s.n))
+    theta = pure_conjugator([conjugate(g, rho) for g in sources], targets)
+    if theta is None:
+        return None
+    c = mul(pure(theta), rho)
+    if any(conjugate(g, c) != h for g, h in zip(sources, targets)):
+        raise VerificationError("conjugator does not carry the sources onto the targets")
+    return c
 
 
 def to_word(g: QuotientElement) -> BraidWord:

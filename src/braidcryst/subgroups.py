@@ -52,15 +52,6 @@ def holonomy_det(p: Permutation) -> int:
     return -1 if Permutation(images).parity() else 1
 
 
-def pair_representation_faithful(n: int) -> bool:
-    """Is the pair action of S_n faithful?  For n >= 3 a non-identity
-    permutation moving i moves the pair {i, k} for every k outside
-    {i, p(i)}, so it is; S_2 fixes its one pair."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return n >= 3
-
-
 class HolonomySubgroup(Record):
     """A subgroup of S_n given by generators.  Order and membership come from
     a stabilizer chain; ``elements`` lists the group when it is small enough."""
@@ -107,32 +98,6 @@ class HolonomySubgroup(Record):
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self.chain
-
-
-class PreimageDescriptor(Record):
-    """The preimage of a permutation subgroup in the quotient: a
-    crystallographic group of dimension ``n(n-1)/2`` with holonomy ``H``.
-    ``generator_matrices`` holds one :func:`holonomy_matrix` (a list of
-    rows) per generator of ``H``."""
-
-    _fields = ("subgroup", "lattice_rank", "generator_matrices")
-    subgroup: HolonomySubgroup
-    lattice_rank: int
-    generator_matrices: tuple[list[list[int]], ...]
-
-    def contains(self, g: QuotientElement) -> bool:
-        if g.n != self.subgroup.n:
-            raise ValueError("degree mismatch")
-        return g.perm in self.subgroup
-
-
-def preimage_subgroup(H: HolonomySubgroup) -> PreimageDescriptor:
-    n = H.n
-    return PreimageDescriptor(
-        subgroup=H,
-        lattice_rank=n * (n - 1) // 2,
-        generator_matrices=tuple(holonomy_matrix(g) for g in H.generators),
-    )
 
 
 def is_bieberbach(H: HolonomySubgroup) -> bool:

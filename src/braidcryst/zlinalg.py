@@ -27,8 +27,6 @@ from __future__ import annotations
 from operator import mul
 from typing import Sequence
 
-from .permutation import parse_int
-
 Matrix = list[list[int]]
 MatrixLike = Sequence[Sequence[int]]
 
@@ -64,12 +62,6 @@ def mat_vec(M: MatrixLike, v: Sequence[int]) -> list[int]:
 def _sub_multiple(x: list[int], q: int, y: list[int]) -> list[int]:
     """The row ``x - q * y``."""
     return [a - q * b for a, b in zip(x, y)]
-
-
-def parse_matrix(text: str) -> Matrix:
-    """Rows of space-separated integers, one row per line."""
-    lines = [line for line in text.strip().splitlines() if line.strip()]
-    return as_int_matrix([[parse_int(tok) for tok in line.split()] for line in lines])
 
 
 def format_matrix(M: MatrixLike) -> str:
@@ -251,14 +243,6 @@ def solve_integer(
     return x0, kernel
 
 
-def kernel_basis(M: MatrixLike) -> list[list[int]]:
-    M = as_int_matrix(M)
-    solved = solve_integer(M, [0] * len(M))
-    if solved is None:
-        raise RuntimeError("homogeneous system reported unsolvable")
-    return solved[1]
-
-
 def row_lattice_hnf(rows: MatrixLike) -> Matrix:
     """Canonical basis (nonzero HNF rows) of the lattice spanned by ``rows``."""
     H = as_int_matrix(rows)
@@ -279,7 +263,7 @@ def lattice_contains(rows: MatrixLike, v: Sequence[int]) -> bool:
     """
     M = as_int_matrix(rows)
     v = _int_vector(v)
-    if not _width(M):
+    if not M:  # no rows, so no width to check against
         return not any(v)
     if len(v) != _width(M):
         raise ValueError("vector length does not match the rows")

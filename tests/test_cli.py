@@ -121,6 +121,18 @@ def test_conjugate_test_and_conjugator(capsys):
     assert out.startswith("not conjugate")
 
 
+def test_conjugator_json_is_pinned(capsys):
+    # a (3,5)-block element conjugated by "8 -3 5 2 -7 1"; the conjugator is
+    # the least one, so any change to the search order changes this literal
+    word = "8 -3 5 2 -7 1 2 -1 7 6 -5 -4 -1 7 -2 -5 3 -8"
+    code, out, _ = run(capsys, "--n", "9", "--json", "conjugator", word)
+    assert code == 0
+    assert out == (
+        '{"conjugator": {"n": 9, "perm": [1, 2, 4, 3, 6, 5, 9, 7, 8], '
+        '"vec": {"1,3": -1, "5,6": -1, "7,9": -1}}, "blocks": "3,5"}'
+    )
+
+
 def test_torsion_witness_command(capsys):
     code, out, _ = run(capsys, "--n", "5", "--json", "torsion-witness", "(1,2,3)")
     assert code == 0

@@ -1,5 +1,6 @@
 """Constructive conjugacy for torsion elements."""
 
+import itertools
 import math
 import random
 
@@ -10,7 +11,6 @@ from braidcryst.conjugacy import (
     are_conjugate,
     conjugator_to_standard,
     count_conjugacy_classes,
-    standard_form,
 )
 from braidcryst.quotient import (
     INFINITE,
@@ -29,7 +29,7 @@ from braidcryst.torsion import (
     torsion_element,
     torsion_witness,
 )
-from braidcryst.permutation import Permutation, all_permutations
+from braidcryst.permutation import Permutation
 
 
 def random_element(n, rng, max_len=10):
@@ -42,12 +42,8 @@ def random_element(n, rng, max_len=10):
 def test_standard_form_of_standard_elements():
     for n in range(3, 9):
         for spec in iter_block_specs(n):
-            g = torsion_element(spec)
-            c, found = standard_form(g)
-            assert found.blocks == spec.blocks
-            assert conjugate(g, c) == torsion_element(found)
-            # already standard: the conjugator is trivial
-            assert c.is_identity()
+            # already standard: the least conjugator is trivial
+            assert conjugator_to_standard(torsion_element(spec)).is_identity()
 
 
 def test_conjugator_to_standard_on_scrambled_elements():
@@ -58,10 +54,7 @@ def test_conjugator_to_standard_on_scrambled_elements():
             spec = rng.choice(specs)
             g = conjugate(torsion_element(spec), random_element(n, rng))
             c = conjugator_to_standard(g)
-            _, found = standard_form(g)
-            assert found.blocks == spec.blocks
-            assert conjugate(g, c) == torsion_element(found)
-
+            assert conjugate(g, c) == torsion_element(spec)
 
 def test_cyclic_element_standardizes():
     for n in (3, 5, 7):
@@ -112,7 +105,7 @@ def test_torsion_translates_of_one_permutation_are_conjugate():
     # class are conjugate
     rng = random.Random(31)
     for n in (5, 6):
-        for p in all_permutations(n):
+        for p in map(Permutation, itertools.permutations(range(1, n + 1))):
             if p.is_identity() or p.order() % 2 == 0:
                 continue
             if rng.random() < 0.9:
@@ -211,7 +204,7 @@ def test_are_conjugate_orders_each_input_once(monkeypatch):
 
 
 def test_conjugacy_checks_raise_when_planted_false(monkeypatch):
-    import braidcryst.conjugacy as conjugacy
+    import braidcryst.quotient as quotient
     from braidcryst import VerificationError
 
     rng = random.Random(43)
@@ -219,19 +212,19 @@ def test_conjugacy_checks_raise_when_planted_false(monkeypatch):
     g = conjugate(delta, random_element(5, rng))
     h = conjugate(delta, random_element(5, rng))
     assert g != h and are_conjugate(g, h)[0]
-    with monkeypatch.context() as m:
-        m.setattr(BlockSpec, "target_permutation", lambda spec: Permutation.identity(spec.n))
-        with pytest.raises(VerificationError, match="block permutation"):
-            standard_form(g)
-    for plant, message in [
-        (lambda sources, targets: None, "no lattice vector"),
-        (lambda sources, targets: PairVector.basis(5, 1, 2), "conjugator does not reach"),
-    ]:
+    # finite elements of one cycle type are conjugate, so a failed search is
+    # an error; a wrong permutation or vector is caught by the checks
+    plants = [
+        ("conjugating_permutation", lambda a, b: None, "no conjugator"),
+        ("conjugating_permutation", lambda a, b: Permutation.from_text(5, "(1,4)"), "no conjugator"),
+        ("pure_conjugator", lambda sources, targets: None, "no conjugator"),
+        ("pure_conjugator", lambda sources, targets: PairVector.basis(5, 1, 2),
+         "does not carry the sources"),
+    ]
+    for name, plant, message in plants:
         with monkeypatch.context() as m:
-            m.setattr(conjugacy, "pure_conjugator", plant)
+            m.setattr(quotient, name, plant)
             with pytest.raises(VerificationError, match=message):
                 conjugator_to_standard(g)
-    with monkeypatch.context() as m:
-        m.setattr(conjugacy, "conjugator_to_standard", lambda e: QuotientElement.identity(e.n))
-        with pytest.raises(VerificationError, match="witness"):
-            are_conjugate(g, h)
+            with pytest.raises(VerificationError, match=message):
+                are_conjugate(g, h)

@@ -2,33 +2,17 @@
 
 import ast
 import doctest
+import importlib
 from pathlib import Path
 
 import pytest
 
 import braidcryst
-import braidcryst.braidword
 import braidcryst.cli
-import braidcryst.conjugacy
-import braidcryst.frobenius
-import braidcryst.orbits
-import braidcryst.permutation
-import braidcryst.quotient
-import braidcryst.subgroups
-import braidcryst.torsion
-import braidcryst.zlinalg
 
-MODULES = [
-    braidcryst.braidword,
-    braidcryst.conjugacy,
-    braidcryst.frobenius,
-    braidcryst.orbits,
-    braidcryst.permutation,
-    braidcryst.quotient,
-    braidcryst.subgroups,
-    braidcryst.torsion,
-    braidcryst.zlinalg,
-]
+# every module that defines a public name, so a new module cannot skip the
+# checks below
+MODULES = [importlib.import_module(f"braidcryst.{name}") for name in braidcryst.EXPORTS]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -1,5 +1,6 @@
 """The order-21 Frobenius subgroup of the seven-strand quotient."""
 
+import itertools
 import random
 
 import pytest
@@ -235,36 +236,39 @@ def test_standardize_powers_of_v():
 def test_rotation_match_fits_every_relabeling_of_the_reference_permutations():
     # S_7 acts freely and transitively on the pairs (t, z) of a 7-cycle z and
     # a t with t z t^-1 = z^2: the 5040 conjugates of (BETA, ALPHA) are
-    # distinct, and a rotation of the cycle of z carries each one back onto
-    # (BETA, ALPHA) itself, by the one permutation that can
-    from braidcryst.frobenius import _cycle_match
-    from braidcryst.permutation import all_permutations
+    # distinct, and the least-permutation search, which tries the 7 images of
+    # point 1 in turn (the rotations of the cycle of z), carries each one
+    # back onto (BETA, ALPHA) itself, by the one permutation that can
+    from braidcryst.permutation import Permutation, conjugating_permutation
 
     pairs_seen = set()
-    for u in all_permutations(7):
+    for images in itertools.permutations(range(1, 8)):
+        u = Permutation(images)
         t, z = u * BETA * u.inverse(), u * ALPHA * u.inverse()
         pairs_seen.add((t, z))
-        assert _cycle_match(t, z) == u.inverse()
+        assert conjugating_permutation((t, z), (BETA, ALPHA)) == u.inverse()
     assert len(pairs_seen) == 5040
 
 
 def test_standardization_checks_raise_when_planted_false(monkeypatch):
     import braidcryst.frobenius as f
+    import braidcryst.quotient as quotient
     from braidcryst import VerificationError
 
     w = build_frobenius()
     g3, g7 = conjugate(w.x, w.v), conjugate(w.v, w.v)
     assert standardize_frobenius(g3, g7).power == 1
     plants = [
-        ("_cycle_match", lambda t, z: None, "no permutation carries"),
-        ("pure_conjugator", lambda sources, targets: None, "no lattice vector"),
-        ("pure_conjugator", lambda sources, targets: PairVector.basis(7, 1, 2),
-         "composed conjugator"),
-        ("reference_group", lambda: frozenset([w.x, w.v]), "image subgroup"),
+        (quotient, "conjugating_permutation", lambda a, b: None, "no conjugator"),
+        (quotient, "conjugating_permutation", lambda a, b: BETA, "no conjugator"),
+        (quotient, "pure_conjugator", lambda sources, targets: None, "no conjugator"),
+        (quotient, "pure_conjugator", lambda sources, targets: PairVector.basis(7, 1, 2),
+         "does not carry the sources"),
+        (f, "reference_group", lambda: frozenset([w.x, w.v]), "image subgroup"),
     ]
-    for name, plant, message in plants:
+    for module, name, plant, message in plants:
         with monkeypatch.context() as m:
-            m.setattr(f, name, plant)
+            m.setattr(module, name, plant)
             with pytest.raises(VerificationError, match=message):
                 standardize_frobenius(g3, g7)
 

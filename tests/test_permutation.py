@@ -12,8 +12,8 @@ from braidcryst.permutation import (
     CycleType,
     Permutation,
     StabilizerChain,
-    all_permutations,
     closure,
+    conjugating_permutation,
     parse_int,
 )
 from holonomy_oracle import generator_sets
@@ -25,7 +25,6 @@ def test_identity():
     assert p.images == (1, 2, 3, 4)
     assert p.cycles() == ()
     assert p.order() == 1
-    assert p.fixed_points() == (1, 2, 3, 4)
 
 
 def test_transposition():
@@ -125,11 +124,45 @@ def test_pair_action_sorted():
     assert p.pair_action((3, 4)) == (2, 3)
 
 
-def test_all_permutations_counts():
-    for n in range(1, 6):
-        seen = list(all_permutations(n))
-        assert len(seen) == math.factorial(n)
-        assert len(set(seen)) == len(seen)
+def least_conjugator_by_listing(sources, targets):
+    """Oracle: the first ``s`` of S_n, listed in lexicographic image order,
+    with ``s a s^-1 == b`` for every pair."""
+    n = sources[0].n
+    for images in itertools.permutations(range(1, n + 1)):
+        s = Permutation(images)
+        if all(s * a * s.inverse() == b for a, b in zip(sources, targets)):
+            return s
+    return None
+
+
+def test_conjugating_permutation_is_the_least_over_all_of_s_n():
+    # sources are random permutations and their powers (so fixed points and
+    # repeated cycle lengths occur); targets are a relabeling of the
+    # sources, a relabeling with one entry replaced, or random
+    rng = random.Random(71)
+    verdicts = {True: 0, False: 0}
+    for n in range(1, 7):
+        for _ in range(150):
+            def draw():
+                return Permutation(tuple(rng.sample(range(1, n + 1), n))) ** rng.randint(1, 3)
+
+            sources = [draw() for _ in range(rng.randint(1, 3))]
+            u, kind = draw(), rng.randrange(3)
+            targets = [draw() for _ in sources] if kind == 2 else [u * a * u.inverse() for a in sources]
+            if kind == 1:
+                targets[rng.randrange(len(targets))] = draw()
+            expected = least_conjugator_by_listing(sources, targets)
+            assert conjugating_permutation(sources, targets) == expected, (sources, targets)
+            verdicts[expected is None] += 1
+    assert min(verdicts.values()) > 200
+
+
+def test_conjugating_permutation_rejects_mismatched_input():
+    a = Permutation.from_text(3, "(1,2,3)")
+    e4 = Permutation.identity(4)
+    for sources, targets in [((), ()), ((a,), ()), ((a,), (a, a)), ((a,), (e4,)), ((a, e4), (a, a))]:
+        with pytest.raises(ValueError):
+            conjugating_permutation(sources, targets)
 
 
 perms = st.integers(min_value=1, max_value=6).flatmap(

@@ -1,5 +1,6 @@
 """Normal forms and exact arithmetic in B_n/[P_n,P_n]."""
 
+import itertools
 import math
 import random
 
@@ -14,7 +15,7 @@ from braidcryst.braidword import (
     pair_images,
     pairs,
 )
-from braidcryst.permutation import Permutation, all_permutations
+from braidcryst.permutation import Permutation
 from braidcryst.quotient import (
     INFINITE,
     QuotientElement,
@@ -31,6 +32,7 @@ from braidcryst.quotient import (
     power,
     pure,
     pure_conjugator,
+    subgroup_conjugator,
     to_word,
 )
 from braidcryst.zlinalg import solve_integer
@@ -53,7 +55,7 @@ def random_word(n, rng, max_len=12):
 
 def test_canonical_lift_basics():
     for n in range(2, 6):
-        for p in all_permutations(n):
+        for p in map(Permutation, itertools.permutations(range(1, n + 1))):
             w = canonical_lift(p)
             assert all(k > 0 for k in w.letters)
             assert len(w.letters) == p.inversions()
@@ -108,7 +110,7 @@ def test_closed_forms_match_word_cocycle_exhaustively():
     # vector, against the word-built cocycle under both lifts
     rng = random.Random(12)
     for n in range(2, 6):
-        perms = list(all_permutations(n))
+        perms = list(map(Permutation, itertools.permutations(range(1, n + 1))))
         canonical, reverse = ({p: lift(p) for p in perms}.__getitem__ for lift in LIFTS)
         elements = [
             QuotientElement(p, PairVector(n, tuple(rng.randint(-3, 3) for _ in pairs(n))))
@@ -340,6 +342,44 @@ def test_pure_conjugator_rejects_mismatched_input():
         pure_conjugator((), ())
     with pytest.raises(ValueError):
         pure_conjugator((g,), (embed(g, 4),))
+
+
+def test_subgroup_conjugator_decides_finite_tuples():
+    # commuting block elements generate a finite group, so every conjugate
+    # tuple is reached and None proves that a tuple is not conjugate; a
+    # translate of one target has infinite order and is never reached
+    from braidcryst.torsion import BlockSpec, abelian_realization
+
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.randint(5, 9)
+        spec = BlockSpec(n, rng.choice([b for b in [(3,), (5,), (3, 3), (3, 5)] if sum(b) <= n]))
+        sources = abelian_realization(spec)
+        c = mul(normalize(random_word(n, rng)), pure(PairVector(n, [rng.randint(-2, 2) for _ in pairs(n)])))
+        targets = [conjugate(s, c) for s in sources]
+        found = subgroup_conjugator(sources, targets)
+        assert found is not None
+        assert all(conjugate(s, found) == t for s, t in zip(sources, targets))
+        i, P = rng.randrange(len(targets)), rng.choice(pairs(n))
+        targets[i] = mul(basis_element(n, *P), targets[i])
+        assert subgroup_conjugator(sources, targets) is None
+
+
+def test_subgroup_conjugator_none_is_no_proof_for_infinite_sources():
+    # A[1,2] and A[2,3] are conjugate by a lift of (1,3), but the least
+    # permutation carrying the identity onto itself is the identity, and
+    # no lattice vector moves a pure element
+    g, h = basis_element(3, 1, 2), basis_element(3, 2, 3)
+    assert conjugate(g, normalize(canonical_lift(Permutation.from_text(3, "(1,3)")))) == h
+    assert subgroup_conjugator((g,), (h,)) is None
+
+
+def test_subgroup_conjugator_rejects_mismatched_input():
+    g = normalize(BraidWord.from_text(3, "1 2"))
+    assert subgroup_conjugator((g,), (normalize(BraidWord.from_text(3, "1")),)) is None
+    for sources, targets in [((g,), ()), ((), ()), ((g,), (embed(g, 4),))]:
+        with pytest.raises(ValueError):
+            subgroup_conjugator(sources, targets)
 
 
 def test_pure_conjugator_check_survives_optimize():

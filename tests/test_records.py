@@ -10,7 +10,7 @@ from braidcryst.frobenius import FrobeniusWitness, SolutionFamily, Standardizati
 from braidcryst.orbits import OrbitTable
 from braidcryst.permutation import CycleType, Permutation
 from braidcryst.quotient import QuotientElement
-from braidcryst.subgroups import HolonomySubgroup, PreimageDescriptor
+from braidcryst.subgroups import HolonomySubgroup
 from braidcryst.torsion import BlockSpec
 
 E = QuotientElement.identity(2)
@@ -43,9 +43,6 @@ CASES = [
     (HolonomySubgroup, {"n": 3, "generators": (Permutation((2, 3, 1)),)}, H_TEXT,
      {"generators": ()},
      [({"n": 4, "generators": (Permutation((2, 1)),)}, "degree mismatch among generators")]),
-    (PreimageDescriptor, {"subgroup": H, "lattice_rank": 3, "generator_matrices": ((0, 1),)},
-     f"PreimageDescriptor(subgroup={H_TEXT}, lattice_rank=3, generator_matrices=((0, 1),))",
-     {"lattice_rank": 4}, []),
     (SolutionFamily, {"particular": PairVector.zero(2), "kernel": (PairVector(2, (1,)),)},
      "SolutionFamily(particular=PairVector(n=2, coeffs=(0,)), kernel=(PairVector(n=2, coeffs=(1,)),))",
      {"kernel": ()}, []),
