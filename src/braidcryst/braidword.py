@@ -225,8 +225,8 @@ class PairVector:
     @staticmethod
     def from_json(n: int, data: Mapping[str, int]) -> "PairVector":
         """Parse ``{"i,j": c, ...}``; each key is two integers in the syntax
-        of :func:`permutation.parse_int`, and values must be ints (not bools
-        or floats)."""
+        of :func:`permutation.parse_int`, no two keys may name one pair, and
+        values must be ints (not bools or floats)."""
         if not isinstance(data, Mapping):
             raise ValueError(f"vector must be an object of \"i,j\": integer entries, got {data!r}")
         parsed: dict[tuple[int, int], int] = {}
@@ -237,6 +237,8 @@ class PairVector:
                 raise ValueError(f"bad pair key {key!r}: expected \"i,j\"") from None
             if type(c) is not int:
                 raise ValueError(f"coefficient of {key!r} must be an integer, got {c!r}")
+            if (i, j) in parsed:
+                raise ValueError(f"key {key!r} names the pair ({i},{j}) a second time")
             parsed[i, j] = c
         return PairVector.from_pairs(n, parsed)
 

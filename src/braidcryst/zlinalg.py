@@ -12,11 +12,12 @@ Row convention throughout: ``hnf`` returns ``(H, U)`` with ``U @ M = H`` and
 ``U`` unimodular; ``snf`` returns ``(D, U, V)`` with ``U @ M @ V = D``
 diagonal and ``d1 | d2 | ...``.
 
-One Hermite elimination serves ``hnf`` and, with no transform, the lattice
-functions.  Its pivot is the row of least nonzero ``|entry|`` in the column,
-and the rows below lose nearest-integer multiples of it, which keeps ``U``
-small (Cohen, GTM 138, section 2.4).  ``U`` is one valid transform, not a
-canonical one.
+One Hermite elimination serves every function: ``hnf`` directly, the
+lattice functions with no transform, ``solve_integer`` on the transpose, and
+``snf`` on rows and columns in turn.  Its pivot is the row of least nonzero
+``|entry|`` in the column, and the rows below lose nearest-integer multiples
+of it, which keeps transforms small (Cohen, GTM 138, section 2.4).
+Transforms are valid ones, not canonical ones.
 
 >>> hnf([[2, 4], [1, 3]])
 ([[1, 1], [0, 2]], [[1, -1], [-1, 2]])
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 from operator import mul
 from typing import Sequence
+
+from .braidword import VerificationError
 
 Matrix = list[list[int]]
 MatrixLike = Sequence[Sequence[int]]
@@ -121,10 +124,7 @@ def hnf(M: MatrixLike) -> tuple[Matrix, Matrix]:
     unimodular, ``H`` in row echelon form with positive pivots and the
     entries above each pivot reduced into ``[0, pivot)``.  ``H`` is the
     unique HNF of the row lattice of ``M``; ``U`` is one valid transform,
-    not a canonical one.  In each column the pivot is the row at or below
-    the current one with the least nonzero ``|entry|``, and the rows below
-    it lose nearest-integer multiples of it until the column below the
-    pivot is zero; this keeps the entries of ``U`` small.
+    not a canonical one.
     """
     H = as_int_matrix(M)
     U = identity_matrix(len(H))
@@ -132,83 +132,77 @@ def hnf(M: MatrixLike) -> tuple[Matrix, Matrix]:
     return H, U
 
 
+def _transpose(M: Matrix, width: int) -> Matrix:
+    """The transpose of ``M``, whose rows have ``width`` entries."""
+    return [list(col) for col in zip(*M)] if M else [[] for _ in range(width)]
+
+
+def _smith(D: Matrix, width: int, U: Matrix | None, VT: Matrix | None) -> None:
+    """Bring ``D`` (rows of ``width`` entries) to Smith normal form in place.
+
+    Row operations go to ``U`` and column operations, as row operations, to
+    ``VT``, the transpose of the right transform; either may be ``None``.
+    """
+    m = len(D)
+    while True:
+        _echelon(D, U)
+        T = _transpose(D, width)  # column operations on D are row operations on T
+        _echelon(T, VT)
+        D[:] = _transpose(T, m)
+        if any(a for i, row in enumerate(T) for j, a in enumerate(row) if i != j):
+            continue
+        pivots = [d for d in diagonal(T) if d]
+        i = next((i for i in range(len(pivots) - 1) if pivots[i + 1] % pivots[i]), None)
+        if i is None:
+            return
+        # add column i + 1 to column i: adding rows would be undone, since the
+        # row elimination leaves a lone pivot in its row
+        for row in D:
+            row[i] += row[i + 1]
+        if VT is not None:
+            VT[i] = [a + b for a, b in zip(VT[i], VT[i + 1])]
+
+
 def snf(M: MatrixLike) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form ``U @ M @ V = D`` with divisibility along the diagonal.
 
-    ``D``, ``U`` and ``V`` are lists of rows.
+    ``D``, ``U`` and ``V`` are lists of rows.  Hermite eliminations of the
+    rows and of the columns alternate until ``D`` is diagonal; while some
+    ``d[i]`` does not divide ``d[i + 1]``, column ``i + 1`` is added to
+    column ``i`` and they run again (Kannan and Bachem, SIAM J. Comput. 8,
+    1979).  This ends: each round lowers the first pivot not yet alone in its
+    row and column, or leaves it alone there, and each fix lowers ``d[i]`` to
+    ``gcd(d[i], d[i + 1])`` and keeps ``d[:i]``.  ``D`` is unique; ``U`` and
+    ``V`` are valid transforms, not canonical ones.
+
+    >>> snf([[2, 0], [0, 3]])
+    ([[1, 0], [0, 6]], [[-1, 1], [-3, 2]], [[1, -3], [1, -2]])
     """
     D = as_int_matrix(M)
-    m, n = len(D), _width(D)
-    U = identity_matrix(m)
-    # V is kept transposed, so that its column operations are row operations
+    n = _width(D)
+    U = identity_matrix(len(D))
     VT = identity_matrix(n)
-
-    def smallest_nonzero(t: int) -> tuple[int, int] | None:
-        """First entry in row-major order of least nonzero absolute value."""
-        best = None
-        best_abs = 0
-        for i in range(t, m):
-            row = D[i]
-            for j in range(t, n):
-                x = row[j]
-                if x != 0 and (best is None or abs(x) < best_abs):
-                    best, best_abs = (i, j), abs(x)
-                    if best_abs == 1:  # nothing later can be smaller
-                        return best
-        return best
-
-    t = 0
-    while True:
-        pos = smallest_nonzero(t)
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            D[t], D[i] = D[i], D[t]
-            U[t], U[i] = U[i], U[t]
-        if j != t:
-            for row in D:
-                row[t], row[j] = row[j], row[t]
-            VT[t], VT[j] = VT[j], VT[t]
-        pivot = D[t][t]
-        dirty = False
-        for r in range(t + 1, m):
-            q = D[r][t] // pivot
-            if q:
-                D[r] = _sub_multiple(D[r], q, D[t])
-                U[r] = _sub_multiple(U[r], q, U[t])
-            if D[r][t] != 0:
-                dirty = True
-        for c in range(t + 1, n):
-            q = D[t][c] // pivot
-            if q:
-                for row in D:
-                    row[c] -= q * row[t]
-                VT[c] = _sub_multiple(VT[c], q, VT[t])
-            if D[t][c] != 0:
-                dirty = True
-        if dirty:
-            continue
-        # pivot divides every remaining entry? if not, fold the offender in
-        offender = None
-        if abs(pivot) != 1:  # a unit pivot divides everything
-            remainder = pivot.__rmod__  # remainder(x) == x % pivot
-            offender = next(
-                (r for r in range(t + 1, m) if any(map(remainder, D[r][t + 1 :]))), None
-            )
-        if offender is not None:
-            D[t] = [a + b for a, b in zip(D[t], D[offender])]
-            U[t] = [a + b for a, b in zip(U[t], U[offender])]
-            continue
-        if pivot < 0:
-            D[t] = [-a for a in D[t]]
-            U[t] = [-a for a in U[t]]
-        t += 1
-    return D, U, [list(col) for col in zip(*VT)]
+    _smith(D, n, U, VT)
+    return D, U, _transpose(VT, n)
 
 
 def diagonal(D: Matrix) -> list[int]:
     return [D[i][i] for i in range(min(len(D), _width(D)))]
+
+
+def _reduce(basis: Matrix, v: list[int]) -> list[int] | None:
+    """Coefficients ``q`` with ``v == sum(q[i] * basis[i])`` for the nonzero
+    rows ``basis`` of a HNF, or ``None`` when ``v`` is not in their span."""
+    q = []
+    for row in basis:
+        col = next(j for j, a in enumerate(row) if a)
+        c, rest = divmod(v[col], row[col])
+        if rest:
+            return None
+        if c:
+            v = _sub_multiple(v, c, row)
+        q.append(c)
+    return None if any(v) else q
 
 
 def solve_integer(
@@ -219,27 +213,35 @@ def solve_integer(
     Returns ``(x0, kernel_basis)`` where ``x0`` is one solution (a list of
     ints) and ``kernel_basis`` a lattice basis of ``{x : M x = 0}`` (a list
     of such lists), or ``None`` when no integer solution exists.
+
+    The Hermite elimination of ``M``'s transpose gives ``U @ M.T = H``; it
+    ends, since each step lowers the least nonzero entry in its column.
+    ``b`` is reduced against the nonzero rows of ``H``, ``x0`` combines the
+    rows of ``U`` with the quotients, and the rows of ``U`` beside zero rows
+    of ``H`` span the kernel.  Both are valid, not canonical, and are checked
+    against ``M`` (``VerificationError`` otherwise).
+
+    >>> solve_integer([[2, 4]], [6])
+    ([3, 0], [[-2, 1]])
+    >>> solve_integer([[2, 4]], [3]) is None
+    True
     """
     M = as_int_matrix(M)
-    m, n = len(M), _width(M)
+    n = _width(M)
     b = _int_vector(b)
-    if len(b) != m:
+    if len(b) != len(M):
         raise ValueError("right-hand side length does not match")
-    D, U, V = snf(M)
-    c = mat_vec(U, b)
-    diag = diagonal(D)
-    rank = sum(1 for d in diag if d != 0)
-    y = [0] * n
-    for i in range(m):
-        d = diag[i] if i < len(diag) else 0
-        if d != 0:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-        elif c[i] != 0:
-            return None
-    x0 = mat_vec(V, y)
-    kernel = [[row[j] for row in V] for j in range(rank, n)]
+    H = _transpose(M, n)
+    U = identity_matrix(n)
+    _echelon(H, U)
+    rank = sum(1 for row in H if any(row))
+    q = _reduce(H[:rank], b)
+    if q is None:
+        return None
+    x0 = [sum(map(mul, q, col)) for col in zip(*U)]
+    kernel = U[rank:]
+    if mat_vec(M, x0) != b or any(any(mat_vec(M, k)) for k in kernel):
+        raise VerificationError("integer solve does not satisfy its system")
     return x0, kernel
 
 
@@ -267,14 +269,7 @@ def lattice_contains(rows: MatrixLike, v: Sequence[int]) -> bool:
         return not any(v)
     if len(v) != _width(M):
         raise ValueError("vector length does not match the rows")
-    for row in row_lattice_hnf(M):
-        col = next(j for j, a in enumerate(row) if a)
-        q, rest = divmod(v[col], row[col])
-        if rest:
-            return False
-        if q:
-            v = _sub_multiple(v, q, row)
-    return not any(v)
+    return _reduce(row_lattice_hnf(M), v) is not None
 
 
 def lattices_equal(rows_a: MatrixLike, rows_b: MatrixLike) -> bool:
@@ -295,8 +290,8 @@ def abelianization(relations: MatrixLike, generators: int) -> tuple[int, list[in
     R = as_int_matrix(relations)
     if R and len(R[0]) != generators:
         raise ValueError("relation width does not match generator count")
-    D, _, _ = snf(R)
-    diag = diagonal(D)
+    _smith(R, generators, None, None)
+    diag = diagonal(R)
     rank = sum(1 for d in diag if d != 0)
     factors = [d for d in diag if d > 1]
     return generators - rank, factors

@@ -158,6 +158,8 @@ def test_pair_vector_from_json_is_strict():
         with pytest.raises(ValueError):
             PairVector.from_json(5, bad)
     assert PairVector.from_json(5, {"1,2": 10**30}).coefficient(1, 2) == 10**30
+    with pytest.raises(ValueError, match=r"'01,2' names the pair \(1,2\) a second time"):
+        PairVector.from_json(5, {"1,2": 1, "01,2": 0})
 
 
 def test_pair_vector_storage_boundaries():

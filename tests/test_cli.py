@@ -389,6 +389,7 @@ MALFORMED_ELEMENTS = [
     '{"n":3,"perm":[1,2,3],"vec":{"1-2":1}}',
     '{"n":3,"perm":[1,2,3],"vec":{"2,1":1}}',
     '{"n":3,"perm":[1,2,3],"vec":{"1,4":1}}',
+    '{"n":3,"perm":[1,2,3],"vec":{"1,2":1,"01,2":0}}',
     '{"n":true,"perm":[1]}',
     '{"n":3.0,"perm":[1,2,3]}',
     '{"n":"3","perm":[1,2,3]}',

@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
-from sympy.matrices.normalforms import smith_normal_form
+from sympy.matrices.normalforms import smith_normal_decomp, smith_normal_form
 
 import braidcryst
+from braidcryst import zlinalg
+from braidcryst.braidword import VerificationError
 from braidcryst.zlinalg import (
     abelianization,
     as_int_matrix,
@@ -144,6 +146,92 @@ def test_solve_integer_round_trip():
         assert lattice_contains(ker or [[0] * cols], [a - c for a, c in zip(x, x0)])
 
 
+def test_snf_transforms_stay_small_on_dense_input():
+    # the Smith pivot loop this replaced reached 113-143 digits in U at 20 x 20
+    # and over 3000 at 60 x 60 on these inputs
+    rng = random.Random(13)
+    for k in (20, 20, 20, 20, 60):
+        M = random_matrix(rng, k, k, bound=5)
+        D, U, V = snf(M)
+        assert matmul(matmul(U, M), V) == D
+        assert all(D[i][j] == 0 for i in range(k) for j in range(k) if i != j)
+        digits = max(len(str(abs(a))) for X in (U, V) for row in X for a in row)
+        assert digits < (60 if k == 20 else 200), (k, digits)
+        if k == 20:
+            assert abs(exact_det(U)) == 1 and abs(exact_det(V)) == 1
+
+
+def test_snf_needs_a_column_step_to_fix_divisibility():
+    # diagonal after one round, but 2 does not divide 3; a row step here
+    # would be undone by the next row elimination
+    M = [[3, -3, -3], [-3, 2, 0]]
+    D, U, V = snf(M)
+    assert D == [[1, 0, 0], [0, 3, 0]]
+    assert matmul(matmul(U, M), V) == D
+
+
+def test_degenerate_shapes():
+    # results at shapes with no rows or no columns, as given by the Smith
+    # pivot loop this replaced
+    for k in range(4):
+        M = [[] for _ in range(k)]  # k x 0 ([] is 0 x 0)
+        assert snf(M) == (M, [[int(i == j) for j in range(k)] for i in range(k)], [])
+        assert solve_integer(M, [0] * k) == ([], [])
+        if k:
+            assert solve_integer(M, [1] + [0] * (k - 1)) is None
+        assert abelianization(M, 0) == (0, [])
+        assert abelianization([], k) == (k, [])  # 0 x k
+    assert snf([[0, 0, 0]]) == ([[0, 0, 0]], [[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert snf([[0], [0]]) == ([[0], [0]], [[1, 0], [0, 1]], [[1]])
+    assert solve_integer([[0, 0, 0]], [0]) == ([0, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert solve_integer([[0], [0]], [0, 0]) == ([0], [[1]])
+    assert abelianization([[0, 0, 0]], 3) == (3, [])
+
+
+def test_solve_integer_matches_sympy_smith_decomposition():
+    # sympy's P @ M @ Q = S is the oracle: M x = b is solvable exactly when
+    # c = P b has c[i] divisible by S[i][i] below the rank and zero above it,
+    # and the kernel has rank cols - rank
+    rng = random.Random(14)
+    shapes = [(0, 0), (1, 0), (3, 0)] + [(r, c) for r in range(1, 6) for c in range(1, 6)]
+    for trial in range(240):
+        rows, cols = shapes[trial % len(shapes)]
+        M = random_matrix(rng, rows, cols, bound=rng.choice([1, 3, 6]))
+        if rows > 1 and trial % 3 == 1:  # rank one
+            M = [[rng.randint(-2, 2) * a for a in M[0]] for _ in range(rows)]
+        x = [rng.randint(-3, 3) for _ in range(cols)]
+        b = matvec(M, x) if trial % 2 else [rng.randint(-4, 4) for _ in range(rows)]
+        S, P, _ = smith_normal_decomp(Matrix(rows, cols, [a for row in M for a in row]), domain=ZZ)
+        diag = [int(S[i, i]) for i in range(min(rows, cols))]
+        rank = sum(1 for d in diag if d)
+        c = [int(a) for a in P * Matrix(rows, 1, b)]
+        solvable = all(c[i] % diag[i] == 0 for i in range(rank)) and not any(c[rank:])
+        out = solve_integer(M, b)
+        assert (out is not None) == solvable, (M, b)
+        if out is not None:
+            x0, kernel = out
+            assert matvec(M, x0) == b and len(kernel) == cols - rank
+            assert all(not any(matvec(M, k)) for k in kernel)
+
+
+def test_solve_integer_check_raises_when_planted_false(monkeypatch):
+    echelon = zlinalg._echelon
+    with monkeypatch.context() as patch:
+        # wrong quotients: the particular solution misses b
+        patch.setattr(zlinalg, "_reduce", lambda basis, v: [1] * len(basis))
+        with pytest.raises(VerificationError):
+            solve_integer([[2, 4]], [6])
+
+    def bent_kernel(H, U):
+        echelon(H, U)
+        U[-1][0] += 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(zlinalg, "_echelon", bent_kernel)
+        with pytest.raises(VerificationError):
+            solve_integer([[2, 4]], [6])
+
+
 def test_solve_integer_unsolvable():
     assert solve_integer([[2]], [1]) is None
     assert solve_integer([[2, 4], [1, 2]], [2, 0]) is None
@@ -162,9 +250,9 @@ def test_lattice_membership():
 
 
 def test_row_lattice_and_membership_agree_with_hnf_and_solve():
-    # row_lattice_hnf skips the transform and lattice_contains reduces by
-    # the HNF; hnf and an integer solve of the transposed system are the
-    # references
+    # row_lattice_hnf skips the transform; hnf is its reference.  lattice
+    # membership and an integer solve of the transposed system share the
+    # reduction by the HNF, so sympy is the oracle for the solve (below)
     rng = random.Random(12)
     shapes = [(7, 3), (3, 7), (5, 5), (0, 4), (4, 1), (1, 4)]
     for trial in range(60):
@@ -309,6 +397,21 @@ def run_python(*args):
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
+
+
+def test_solve_integer_check_survives_optimize():
+    # under -O every assert is gone; the check on the solve must still fire
+    script = """
+import sys
+import braidcryst.zlinalg as z
+print(sys.flags.optimize, z.solve_integer([[2, 4]], [6]) == ([3, 0], [[-2, 1]]))
+z._reduce = lambda basis, v: [1] * len(basis)
+try:
+    z.solve_integer([[2, 4]], [6])
+except z.VerificationError:
+    print("raised")
+"""
+    assert run_python("-O", "-c", script) == ["1", "True", "raised"]
 
 
 def test_import_does_not_load_numpy():
