@@ -18,9 +18,9 @@ EXPORTS = {
         "pure_generator_word", "pure_word"
     ),
     "quotient": (
-        "INFINITE", "QuotientElement", "action_on_basis", "basis_element",
-        "basis_orbits", "canonical_lift", "conjugate", "element_order", "embed",
-        "inverse", "mul", "normalize", "power", "pure", "pure_conjugator",
+        "INFINITE", "QuotientElement", "basis_element", "basis_orbits",
+        "canonical_lift", "conjugate", "element_order", "embed", "inverse", "mul",
+        "normalize", "orbit_sums", "power", "pure", "pure_conjugator",
         "subgroup_conjugator", "to_word"
     ),
     "torsion": (

@@ -27,7 +27,7 @@ Conjugation acts on the lattice through pairs:
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .braidword import (
     BraidWord,
@@ -36,7 +36,6 @@ from .braidword import (
     crossing_counts,
     pair_images,
     pair_offsets,
-    pairs,
     pure_word,
 )
 from .permutation import Permutation, Record, conjugating_permutation
@@ -223,14 +222,9 @@ def conjugate(g: QuotientElement, c: QuotientElement) -> QuotientElement:
 
 
 def element_order(g: QuotientElement) -> int | float:
-    """Order of ``g``; finite exactly when ``g^order(perm)`` has zero vector."""
-    k = g.perm.order()
-    return k if power(g, k).vec.is_zero() else INFINITE
-
-
-def action_on_basis(g: QuotientElement, pair: tuple[int, int]) -> tuple[int, int]:
-    """The pair ``Q`` with ``g A[pair] g^-1 = A[Q]``."""
-    return g.perm.inverse().pair_action(pair)
+    """Order of ``g``: ``order(perm)`` when every sum of :func:`orbit_sums`
+    is 0, infinite from the first nonzero one."""
+    return g.perm.order() if all(s == 0 for _, s in orbit_sums(g)) else INFINITE
 
 
 def basis_orbits(g: QuotientElement) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -240,21 +234,44 @@ def basis_orbits(g: QuotientElement) -> tuple[tuple[tuple[int, int], ...], ...]:
     lexicographically least pair; orbits are sorted by their first pair.  Both
     hold because each walk starts at the least pair not yet seen.
     """
-    act = g.perm.inverse().pair_action
-    seen: set[tuple[int, int]] = set()
-    orbits: list[tuple[tuple[int, int], ...]] = []
-    for start in pairs(g.n):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        q = act(start)
-        while q != start:
-            orbit.append(q)
-            seen.add(q)
-            q = act(q)
-        orbits.append(tuple(orbit))
-    return tuple(orbits)
+    return tuple(_walk_orbits(g))
+
+
+def _walk_orbits(g: QuotientElement) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The orbits of :func:`basis_orbits`, one at a time: a reader that
+    stops early skips the rest of the walk, and only the current orbit's pair
+    tuples are alive, which keeps garbage collections rare at large ``n``."""
+    act, off, n = g.perm.inverse().pair_action, pair_offsets(g.n), g.n
+    seen = [False] * (n * (n - 1) // 2)
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            orbit, q = [], (i, j)
+            while not seen[off[q[0]] + q[1]]:
+                seen[off[q[0]] + q[1]] = True
+                orbit.append(q)
+                q = act(q)
+            if orbit:
+                yield tuple(orbit)
+
+
+def orbit_sums(g: QuotientElement) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """Each orbit ``O`` of :func:`basis_orbits`, in order and one at a time,
+    with its sum ``s_O = sum over P in O of (2 * vec[P] + [perm inverts P])``.
+
+    With ``f(p)[i,j] = [p(i) > p(j)]``, ``f(p) + p.f(q) - f(pq)`` is twice
+    the cocycle of :func:`mul`, so ``(p, v) -> (p, 2v + f(p))`` maps the
+    quotient into the product ``Z^N x| S_n`` with no cocycle.  There the
+    ``k``-th power, ``k = order(perm)``, sums ``2v + f(p)`` along each orbit
+    ``k/|O|`` times.  Hence ``g^k`` is pure, with ``(k/|O|) * s_O / 2`` on
+    each pair of ``O``: ``g`` has finite order exactly when every ``s_O`` is
+    0, and a lattice translate ``A^t g`` has ``s_O + 2 * sum over O of t``.
+
+    >>> [s for _, s in orbit_sums(normalize(BraidWord.from_text(3, "1 2")))]
+    [2]
+    """
+    images, off, v = g.perm.images, pair_offsets(g.n), g.vec.tolist()
+    for orbit in _walk_orbits(g):
+        yield orbit, sum(2 * v[off[i] + j] + (images[i - 1] > images[j - 1]) for i, j in orbit)
 
 
 def pure_conjugator(

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .braidword import BraidWord, PairVector, pair_images, pair_index, pairs, pure_generator_word
 from .permutation import CLOSURE_LIMIT, Permutation, Record, StabilizerChain, closure
-from .quotient import QuotientElement, basis_orbits, normalize, power
+from .quotient import QuotientElement, normalize, orbit_sums, power
 
 
 HOLONOMY_MATRIX_LIMIT = 2**24
@@ -144,10 +144,13 @@ def sublattice_is_torsion_free(
     ``perm(coset_rep)`` must have prime order ``m``; the sublattice ``L1`` is
     spanned by ``lattice_gens`` and the vector of ``coset_rep^m``, and must be
     invariant under the pair action (checked).  The subgroup is the union of
-    the cosets ``L1 * coset_rep^j``; a torsion element ``A^t * coset_rep^j``
-    (0 < j < m) of order m exists exactly when, for every orbit O of the pair
-    action with size q, ``(m/q) * orbit_sum(t) = -j * orbit_value(c^m)`` has
-    an integer solution with ``t`` in ``L1``.
+    the cosets ``L1 * coset_rep^j``.  For ``0 < j < m`` the orbits of ``p^j``
+    are those of ``p``, so by :func:`quotient.orbit_sums` ``A^t * coset_rep^j``
+    has finite order exactly when ``2 * sum over O of t = -j * s_O`` on every
+    orbit ``O``.  The ``j`` for which some ``t`` in ``L1`` solves this form a
+    subgroup of the integers; it contains ``m``, because the generator
+    ``vec(coset_rep^m)`` contributes ``m * s_O`` to each row.  With ``m``
+    prime it is ``mZ`` or everything, so one solve at ``j = 1`` decides.
     """
     from .zlinalg import lattice_contains, solve_integer
 
@@ -155,8 +158,7 @@ def sublattice_is_torsion_free(
     m = p.order()
     if m < 2 or any(m % d == 0 for d in range(2, m)):
         raise ValueError("coset representative permutation must have prime order")
-    t_vec = power(coset_rep, m).vec
-    gens = [list(v.coeffs) for v in lattice_gens] + [list(t_vec.coeffs)]
+    gens = [list(v.coeffs) for v in lattice_gens] + [list(power(coset_rep, m).vec.coeffs)]
     for v in lattice_gens:
         if v.n != coset_rep.n:
             raise ValueError("degree mismatch")
@@ -166,21 +168,12 @@ def sublattice_is_torsion_free(
         if not lattice_contains(gens, list(moved.coeffs)):
             raise ValueError("lattice is not invariant under the coset action")
 
-    # rows: one equation per orbit, unknowns = multipliers of the generators
-    rows = []
-    t_values = []
-    for orbit in basis_orbits(coset_rep):
-        q = len(orbit)
-        share = m // q
-        rows.append(
-            [share * sum(g[pair_index(coset_rep.n, i, j)] for (i, j) in orbit) for g in gens]
-        )
-        t_values.append(t_vec.coefficient(*orbit[0]))
-    for j in range(1, m):
-        rhs = [-j * t for t in t_values]
-        if solve_integer(rows, rhs) is not None:
-            return False
-    return True
+    # one row per orbit; the unknowns are the multipliers of the generators
+    rows, rhs = [], []
+    for orbit, s in orbit_sums(coset_rep):
+        rows.append([2 * sum(g[pair_index(coset_rep.n, i, j)] for (i, j) in orbit) for g in gens])
+        rhs.append(-s)
+    return solve_integer(rows, rhs) is None
 
 
 # --- three-strand catalog -------------------------------------------------

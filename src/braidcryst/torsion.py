@@ -9,12 +9,10 @@ least-common-multiple order.
 
 ``torsion_witness`` decides, for a permutation ``p``, whether some lattice
 translate of the canonical lift has finite order, and returns the translate
-when it exists:  writing ``t`` for the vector of ``L(p)^m`` (``m`` the order
-of ``p``), a translate ``A^N L(p)`` has order ``m`` exactly when each orbit
-of the pair action, of size ``q``, satisfies ``(m/q) * orbit_sum(N) = -t``
-on that orbit; integrality forces ``(m/q) | t`` there.  The witness exists
-exactly for odd ``m`` (no even torsion exists in the quotient), which the
-tests check exhaustively.
+when it exists: by :func:`quotient.orbit_sums`, one exists exactly when
+every orbit sum of the lift is even, and then ``-s_O/2`` on each orbit's
+least pair is one.  That happens exactly for odd-order ``p`` (no even
+torsion exists in the quotient), which the tests check exhaustively.
 """
 
 from __future__ import annotations
@@ -25,10 +23,12 @@ from functools import lru_cache
 from .braidword import BraidWord, PairVector, VerificationError
 from .permutation import Permutation, Record, parse_int
 from .quotient import (
+    INFINITE,
     QuotientElement,
-    basis_orbits,
+    element_order,
     mul,
     normalize,
+    orbit_sums,
     power,
     pure,
 )
@@ -142,18 +142,8 @@ def abelian_realization(spec: BlockSpec) -> list[QuotientElement]:
 
 
 def is_torsion_offset(spec: BlockSpec, vec: PairVector) -> bool:
-    """Does ``A^vec * torsion_element(spec)`` still have the full order?
-
-    Holds exactly when ``vec`` sums to zero over every conjugation orbit of
-    the block element; a pair it fixes is an orbit of its own, where ``vec``
-    must vanish.
-    """
-    if vec.n != spec.n:
-        raise ValueError("degree mismatch")
-    return all(
-        sum(vec.coefficient(i, j) for (i, j) in orbit) == 0
-        for orbit in basis_orbits(torsion_element(spec))
-    )
+    """Does ``A^vec * torsion_element(spec)`` still have the full order?"""
+    return element_order(mul(pure(vec), torsion_element(spec))) is not INFINITE
 
 
 def cyclic_torsion_element(n: int) -> QuotientElement:
@@ -177,16 +167,12 @@ def torsion_witness(p: Permutation) -> PairVector | None:
         raise ValueError("the identity permutation needs no witness")
     m = p.order()
     lift = QuotientElement(p, PairVector.zero(p.n))
-    t = power(lift, m).vec
     witness: dict[tuple[int, int], int] = {}
-    for orbit in basis_orbits(lift):
-        q = len(orbit)
-        t_val = t.coefficient(*orbit[0])
-        share = m // q
-        if t_val % share != 0:
+    for orbit, s in orbit_sums(lift):
+        if s % 2:
             return None
-        if t_val:
-            witness[orbit[0]] = -(t_val // share)
+        if s:
+            witness[orbit[0]] = -s // 2
     N = PairVector.from_pairs(p.n, witness)
     if not power(mul(pure(N), lift), m).is_identity():
         raise VerificationError(f"witness {N} does not give an element of order {m}")

@@ -19,7 +19,6 @@ from braidcryst.permutation import Permutation
 from braidcryst.quotient import (
     INFINITE,
     QuotientElement,
-    action_on_basis,
     basis_element,
     basis_orbits,
     canonical_lift,
@@ -29,6 +28,7 @@ from braidcryst.quotient import (
     inverse,
     mul,
     normalize,
+    orbit_sums,
     power,
     pure,
     pure_conjugator,
@@ -213,7 +213,7 @@ def test_action_on_basis_table():
         for _ in range(20):
             g = normalize(random_word(n, rng))
             for P in pairs(n):
-                Q = action_on_basis(g, P)
+                Q = g.perm.inverse().pair_action(P)
                 assert conjugate(basis_element(n, *P), g) == basis_element(n, *Q)
 
 
@@ -243,6 +243,45 @@ def test_element_order_finite_means_power_is_identity():
             assert all(not power(g, d).is_identity() for d in range(1, k))
             hits += 1
     assert hits > 10
+
+
+def formula_elements():
+    """Seeded elements for n = 2..9: random words, and planted torsion (a
+    conjugated block element, alone and times a pure generator on two of its
+    fixed points, which has infinite order)."""
+    from braidcryst.torsion import iter_block_specs, torsion_element
+
+    rng = random.Random(21)
+    for n in range(2, 10):
+        for _ in range(12):
+            yield normalize(random_word(n, rng))
+        for spec in iter_block_specs(n):
+            g = conjugate(torsion_element(spec), normalize(random_word(n, rng)))
+            yield g
+            fixed = [i for i in range(1, n + 1) if g.perm(i) == i]
+            if len(fixed) >= 2:
+                yield mul(basis_element(n, *sorted(rng.sample(fixed, 2))), g)
+
+
+def test_orbit_sums_give_the_power_at_the_permutation_order():
+    # 2 * g^k = (k/|O|) * s_O on each pair of each orbit O, for k = order(perm)
+    finite = infinite = 0
+    for g in formula_elements():
+        k = g.perm.order()
+        gk = power(g, k)
+        assert gk.is_pure()
+        sums = tuple(orbit_sums(g))
+        assert tuple(orbit for orbit, _ in sums) == basis_orbits(g)
+        for orbit, s in sums:
+            assert all(2 * gk.vec.coefficient(*P) == k // len(orbit) * s for P in orbit)
+        is_finite = element_order(g) is not INFINITE
+        assert is_finite == gk.vec.is_zero()
+        if g.n <= 6:
+            looped = BraidWord(g.n, to_word(g).letters * k)
+            assert is_finite == word_normalize(looped).is_identity()
+        finite += is_finite
+        infinite += not is_finite
+    assert finite > 20 and infinite > 20
 
 
 def test_embed():
@@ -284,7 +323,7 @@ def test_basis_orbits_partition():
             for orbit in orbits:
                 assert orbit[0] == min(orbit)
                 for t, P in enumerate(orbit):
-                    assert action_on_basis(g, P) == orbit[(t + 1) % len(orbit)]
+                    assert g.perm.inverse().pair_action(P) == orbit[(t + 1) % len(orbit)]
 
 
 def orbit_roots(n, perms):

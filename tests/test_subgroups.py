@@ -5,9 +5,18 @@ import random
 
 import pytest
 
-from braidcryst.braidword import BraidWord, PairVector, pairs
+from braidcryst import zlinalg
+from braidcryst.braidword import BraidWord, PairVector, pair_index, pairs
 from braidcryst.permutation import Permutation
-from braidcryst.quotient import element_order, mul, normalize, power, pure
+from braidcryst.quotient import (
+    QuotientElement,
+    basis_orbits,
+    element_order,
+    mul,
+    normalize,
+    power,
+    pure,
+)
 from braidcryst.subgroups import (
     HolonomySubgroup,
     holonomy_det,
@@ -254,3 +263,52 @@ def test_more_sublattice_cases():
         rep, [PairVector.basis(3, i, j) for (i, j) in pairs(3)]
     )
     assert not sublattice_is_torsion_free(rep, cube_lattice())
+
+
+def loop_verdict(rep, gens):
+    """The decision as one solve per ``j`` in ``1..m-1``, each against the
+    rows ``(m/|O|) * orbit sum`` and the value of ``rep^m`` on the orbit."""
+    n, m = rep.n, rep.perm.order()
+    t_vec = power(rep, m).vec
+    cols = [list(v.coeffs) for v in gens] + [list(t_vec.coeffs)]
+    rows, t_values = [], []
+    for orbit in basis_orbits(rep):
+        share = m // len(orbit)
+        rows.append([share * sum(c[pair_index(n, i, j)] for i, j in orbit) for c in cols])
+        t_values.append(t_vec.coefficient(*orbit[0]))
+    return all(zlinalg.solve_integer(rows, [-j * t for t in t_values]) is None for j in range(1, m))
+
+
+def invariant_case(rng, n, m):
+    """An ``m``-cycle coset representative (a transposition for ``m = 2``)
+    and the invariant sublattice ``s * Z^pairs + Z-span(orbit of u)``."""
+    p = Permutation.from_cycles(n, [rng.sample(range(1, n + 1), m)])
+    rep = QuotientElement(p, PairVector(n, tuple(rng.choice((-1, 0, 0, 1)) for _ in pairs(n))))
+    scale = rng.choice((2, 3, m, 2 * m))
+    gens = [PairVector.basis(n, i, j).scaled(scale) for i, j in pairs(n)]
+    u = PairVector(n, tuple(rng.choice((-1, 0, 0, 0, 1)) for _ in pairs(n)))
+    for _ in range(m):
+        gens.append(u)
+        u = u.precompose(p)
+    return rep, gens
+
+
+def test_single_solve_matches_the_loop_over_cosets(monkeypatch):
+    solves = []
+    real_solve = zlinalg.solve_integer
+    monkeypatch.setattr(zlinalg, "solve_integer", lambda *a: solves.append(1) or real_solve(*a))
+    rng = random.Random(23)
+    verdicts = {}
+    for n in range(3, 8):
+        for m in (m for m in (2, 3, 5, 7) if m <= n):
+            for _ in range(6):
+                rep, gens = invariant_case(rng, n, m)
+                solves.clear()
+                verdict = sublattice_is_torsion_free(rep, gens)
+                assert len(solves) == 1
+                assert verdict == loop_verdict(rep, gens)
+                verdicts.setdefault(m, set()).add(verdict)
+    # a transposition inverts the pair it swaps, whose orbit sum is then odd:
+    # no coset of a transposition holds torsion
+    assert verdicts == {2: {True}, 3: {False, True}, 5: {False, True}, 7: {False, True}}
+

@@ -11,6 +11,7 @@ from braidcryst.permutation import Permutation
 from braidcryst.quotient import (
     INFINITE,
     QuotientElement,
+    basis_orbits,
     element_order,
     embed,
     mul,
@@ -149,9 +150,36 @@ def test_witness_dichotomy_small():
             w = torsion_witness(p)
             if p.order() % 2 == 1:
                 assert w is not None
-                assert element_order(QuotientElement(p, w)) == p.order()
+                assert power(QuotientElement(p, w), p.order()).is_identity()
             else:
                 assert w is None
+
+
+def lift_power_witness(p):
+    """The witness derived from ``L(p)^m``, ``m = order(p)``: ``None`` unless
+    ``m/|O|`` divides the power's value on the least pair of every orbit
+    ``O``, else minus the quotient there."""
+    m = p.order()
+    lift = QuotientElement(p, PairVector.zero(p.n))
+    t = power(lift, m).vec
+    witness = {}
+    for orbit in basis_orbits(lift):
+        share, t_val = m // len(orbit), t.coefficient(*orbit[0])
+        if t_val % share:
+            return None
+        if t_val:
+            witness[orbit[0]] = -(t_val // share)
+    return PairVector.from_pairs(p.n, witness)
+
+
+def test_witness_matches_the_lift_power_derivation():
+    checked = 0
+    for n in range(2, 8):
+        for p in map(Permutation, itertools.permutations(range(1, n + 1))):
+            if not p.is_identity():
+                assert torsion_witness(p) == lift_power_witness(p)
+                checked += 1
+    assert checked == 5906
 
 
 def test_witness_rejects_identity():
@@ -177,7 +205,7 @@ def test_is_torsion_offset_matches_direct_order():
                 else:
                     v = PairVector(n, tuple(rng.randint(-2, 2) for _ in pairs(n)))
                 g = mul(pure(v), base)
-                direct = element_order(g) == spec.order()
+                direct = power(g, spec.order()).is_identity()
                 assert is_torsion_offset(spec, v) == direct
                 checked += 1
                 hits += direct
