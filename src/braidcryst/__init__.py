@@ -42,7 +42,8 @@ EXPORTS = {
     ),
     "subgroups": (
         "HolonomySubgroup", "holonomy_det", "holonomy_matrix", "is_bieberbach",
-        "sublattice_is_torsion_free", "three_strand_catalog", "torsion_certificate"
+        "preimage_abelianization", "sublattice_is_torsion_free", "three_strand_catalog",
+        "torsion_certificate"
     ),
     "frobenius": (
         "FrobeniusWitness", "InconsistentSystem", "NotASolution", "NotFrobenius",

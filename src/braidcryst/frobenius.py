@@ -24,11 +24,11 @@ from .braidword import BraidWord, PairVector, VerificationError, pair_images, pa
 from .permutation import Permutation, Record, closure
 from .quotient import (
     QuotientElement,
-    basis_orbits,
     conjugate,
     element_order,
     mul,
     normalize,
+    orbit_sums,
     power,
     pure,
     pure_conjugator,
@@ -167,13 +167,13 @@ def _system() -> tuple[list[list[int]], list[int]]:
         row[beta[q]] -= 1
         rows.append(row)
         rhs.append(c)
-    # (A^N y)^7 = 1 reduces to zero N-sum over each y-orbit
-    for orbit in basis_orbits(y):
+    # (A^N y)^7 = 1 reduces to 2 * (N-sum over O) = -s_O on each y-orbit O
+    for orbit, s in orbit_sums(y):
         row = [0] * len(alpha)
         for p in orbit:
             row[pair_index(N_STRANDS, *p)] = 1
         rows.append(row)
-        rhs.append(0)
+        rhs.append(-s // 2)
     return rows, rhs
 
 

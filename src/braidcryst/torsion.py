@@ -76,14 +76,6 @@ class BlockSpec(Record):
     def order(self) -> int:
         return math.lcm(1, *self.blocks)
 
-    def target_permutation(self) -> Permutation:
-        """Consecutive ascending cycles, one per block."""
-        cycles = [
-            tuple(range(r + 1, r + k + 1))
-            for r, k in zip(self.offsets(), self.blocks)
-        ]
-        return Permutation.from_cycles(self.n, cycles)
-
     def __str__(self) -> str:
         return ",".join(map(str, self.blocks))
 

@@ -184,17 +184,32 @@ def test_bieberbach_command(capsys):
 
 
 def test_b3_catalog_command(capsys):
+    # the whole payload, byte for byte
     code, out, _ = run(capsys, "--json", "b3-catalog")
     assert code == 0
-    report = json.loads(out)
-    assert [s["name"] for s in report["subgroups"]] == [
-        "trivial",
-        "three_cycle",
-        "transposition",
-        "symmetric",
-    ]
-    assert report["bieberbach_example"]["torsion_free"] is True
-    assert report["torsion_example"]["torsion_free"] is False
+    assert out == (
+        '{"n": 3, "subgroups": ['
+        '{"name": "trivial", "generators": [], "holonomy_order": 1, '
+        '"relators_verified": true, "abelianization": [3], '
+        '"holonomy_generators": [], "det_spectrum": [1], "bieberbach": true}, '
+        '{"name": "three_cycle", "generators": ["(1,3,2)"], "holonomy_order": 3, '
+        '"relators_verified": true, "abelianization": [1, 3], '
+        '"holonomy_generators": [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]], '
+        '"det_spectrum": [1], "bieberbach": false}, '
+        '{"name": "transposition", "generators": ["(1,2)"], "holonomy_order": 2, '
+        '"relators_verified": true, "abelianization": [2], '
+        '"holonomy_generators": [[[1, 0, 0], [0, 0, 1], [0, 1, 0]]], '
+        '"det_spectrum": [-1, 1], "bieberbach": true}, '
+        '{"name": "symmetric", "generators": ["(1,2)", "(2,3)"], "holonomy_order": 6, '
+        '"relators_verified": true, "abelianization": [1], '
+        '"holonomy_generators": [[[1, 0, 0], [0, 0, 1], [0, 1, 0]], '
+        '[[0, 1, 0], [1, 0, 0], [0, 0, 1]]], '
+        '"det_spectrum": [-1, 1], "bieberbach": false}], '
+        '"bieberbach_example": {"coset_rep": "A12 * s1^-1 s2", '
+        '"lattice": "cubes of the pair generators", "torsion_free": true}, '
+        '"torsion_example": {"coset_rep": "s1^-1 s2", '
+        '"lattice": "squares of the pair generators", "torsion_free": false}}'
+    )
 
 
 def test_frobenius_verify_command(capsys):

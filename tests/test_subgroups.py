@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from braidcryst import zlinalg
-from braidcryst.braidword import BraidWord, PairVector, pair_index, pairs
+from braidcryst.braidword import BraidWord, PairVector, pair_index, pairs, pure_generator_word
 from braidcryst.permutation import Permutation
 from braidcryst.quotient import (
     QuotientElement,
@@ -22,6 +23,7 @@ from braidcryst.subgroups import (
     holonomy_det,
     holonomy_matrix,
     is_bieberbach,
+    preimage_abelianization,
     sublattice_is_torsion_free,
     three_strand_catalog,
     torsion_certificate,
@@ -209,6 +211,151 @@ def test_catalog_report():
     ]
     assert report["bieberbach_example"]["torsion_free"] is True
     assert report["torsion_example"]["torsion_free"] is False
+
+
+# The paper's presentations of the four preimages over three strands, as
+# braid words for the generators and relators as (generator, exponent) lists.
+A12, A13, A23 = (pure_generator_word(3, i, j) for i, j in pairs(3))
+S1, S2, ALPHA3 = BraidWord(3, (1,)), BraidWord(3, (2,)), BraidWord(3, (1, 2))
+COMMS = [
+    [(0, 1), (1, 1), (0, -1), (1, -1)],
+    [(0, 1), (2, 1), (0, -1), (2, -1)],
+    [(1, 1), (2, 1), (1, -1), (2, -1)],
+]
+PAPER_PRESENTATIONS = {
+    # subgroup generators: (generator words, relators)
+    (): ((A12, A13, A23), COMMS),
+    ("(1,3,2)",): (
+        (A12, A23, A13, ALPHA3),
+        [
+            *COMMS,
+            [(3, 3), (1, -1), (2, -1), (0, -1)],    # a^3 = A12 A13 A23
+            [(3, 1), (0, 1), (3, -1), (1, -1)],     # a A12 a^-1 = A23
+            [(3, 1), (2, 1), (3, -1), (0, -1)],     # a A13 a^-1 = A12
+            [(3, 1), (1, 1), (3, -1), (2, -1)],     # a A23 a^-1 = A13
+        ],
+    ),
+    ("(1,2)",): (
+        (A12, A23, A13, S1),
+        [
+            *COMMS,
+            [(3, 2), (0, -1)],                      # s1^2 = A12
+            [(3, 1), (0, 1), (3, -1), (0, -1)],     # s1 A12 s1^-1 = A12
+            [(3, 1), (2, 1), (3, -1), (1, -1)],     # s1 A13 s1^-1 = A23
+            [(3, 1), (1, 1), (3, -1), (2, -1)],     # s1 A23 s1^-1 = A13
+        ],
+    ),
+    ("(1,2)", "(2,3)"): (
+        (S1, S2),
+        [
+            [(0, 1), (1, 1), (0, 1), (1, -1), (0, -1), (1, -1)],  # braid relation
+            [(0, -1), (1, 1)] * 3,                                # (s1^-1 s2)^3
+        ],
+    ),
+}
+
+
+def relator_word(gen_words, relator):
+    word = BraidWord(3, ())
+    for index, exponent in relator:
+        g = gen_words[index] if exponent > 0 else gen_words[index].inverse()
+        for _ in range(abs(exponent)):
+            word = word * g
+    return word
+
+
+def relator_row(count, relator):
+    row = [0] * count
+    for index, exponent in relator:
+        row[index] += exponent
+    return row
+
+
+@pytest.mark.parametrize("texts", list(PAPER_PRESENTATIONS), ids=str)
+def test_paper_presentations_match_the_generic_one(texts):
+    gen_words, relators = PAPER_PRESENTATIONS[texts]
+    assert all(normalize(relator_word(gen_words, rel)).is_identity() for rel in relators)
+    rows = [relator_row(len(gen_words), rel) for rel in relators]
+    H = HolonomySubgroup.from_cycle_texts(3, texts)
+    assert zlinalg.abelianization(rows, len(gen_words)) == preimage_abelianization(H)
+
+
+def test_preimage_of_the_trivial_group_is_the_pair_lattice():
+    for n in range(2, 7):
+        H = HolonomySubgroup.from_cycle_texts(n, [])
+        assert preimage_abelianization(H) == (n * (n - 1) // 2, [])
+
+
+def test_preimage_of_the_symmetric_group_abelianizes_like_the_braid_group():
+    # the preimage of S_n is the whole quotient, and B_n abelianizes to Z
+    for n in range(3, 7):
+        cycle = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+        H = HolonomySubgroup.from_cycle_texts(n, ["(1,2)", cycle])
+        assert preimage_abelianization(H) == (1, [])
+
+
+def test_preimage_abelianization_of_f21_and_a_wreath_product():
+    f21 = HolonomySubgroup.from_cycle_texts(7, ["(1,2,3,4,5,6,7)", "(2,3,5)(4,7,6)"])
+    assert f21.order == 21
+    assert preimage_abelianization(f21) == (1, [3])
+    wreath = HolonomySubgroup.from_cycle_texts(9, ["(1,2,3)", "(1,4,7)(2,5,8)(3,6,9)"])
+    assert wreath.order == 81
+    assert preimage_abelianization(wreath) == (2, [3, 3])
+
+
+def test_preimage_abelianization_ignores_generators_and_labels():
+    rng = random.Random(57)
+    checked = 0
+    for n, gens in generator_sets(31, 60, max_n=6):
+        H = HolonomySubgroup(n, gens)
+        if H.order > 120:
+            continue
+        expected = preimage_abelianization(H)
+        # another generating set of the same group: a product of two
+        # generators replaces the first (a lone generator its inverse), and
+        # the identity joins
+        other = (gens[0] * gens[-1], *gens[1:]) if len(gens) > 1 else (gens[0].inverse(),)
+        other += (Permutation.identity(n),)
+        assert HolonomySubgroup(n, other).order == H.order
+        assert preimage_abelianization(HolonomySubgroup(n, other)) == expected
+        r = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+        relabeled = tuple(r.inverse() * g * r for g in gens)
+        assert preimage_abelianization(HolonomySubgroup(n, relabeled)) == expected
+        checked += 1
+    assert checked >= 30
+
+
+def test_preimage_abelianization_refuses_a_large_group_before_walking(monkeypatch):
+    import braidcryst.subgroups as s
+
+    def no_walk(*args):
+        raise AssertionError("walked the Cayley graph")
+
+    monkeypatch.setattr(s, "mul", no_walk)
+    H = HolonomySubgroup.from_cycle_texts(9, ["(1,2)", "(1,2,3,4,5,6,7,8,9)"])
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        preimage_abelianization(H)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == "the group has 362880 elements, more than 50000; refusing to list them"
+
+
+def test_preimage_relator_check_survives_optimize():
+    # under -O every assert is gone; the purity check on each Cayley-graph
+    # relator must still raise when the product it reads (a stubbed mul) is wrong
+    script = """
+import sys
+import braidcryst.subgroups as s
+from braidcryst import VerificationError
+H = s.HolonomySubgroup.from_cycle_texts(3, ["(1,2)", "(2,3)"])
+print(sys.flags.optimize, *s.preimage_abelianization(H))
+s.mul = lambda a, b: b
+try:
+    s.preimage_abelianization(H)
+except VerificationError:
+    print("raised")
+"""
+    assert run_python("-O", "-c", script) == ["1", "1", "[]", "raised"]
 
 
 def cube_lattice():
