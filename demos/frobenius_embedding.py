@@ -42,8 +42,9 @@ def main():
     print()
 
     fam = solve_family()
-    print(f"translating y by a lattice vector N gives a linear system;")
-    print(f"its solution set is a coset of a rank-{fam.rank} kernel.")
+    print("translating y by a lattice vector N repairs it when x v x^-1 = v^2 and v^7 = 1;")
+    print("the repaired pairs are the conjugates of (x, v0) by lattice vectors constant")
+    print(f"on the 7 orbits of x, so the N form a coset of a rank-{fam.rank} lattice.")
     N0 = default_offset()
     print(f"canonical choice N0 = {N0}")
     print()

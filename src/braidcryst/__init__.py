@@ -46,7 +46,7 @@ EXPORTS = {
         "torsion_certificate"
     ),
     "frobenius": (
-        "FrobeniusWitness", "InconsistentSystem", "NotASolution", "NotFrobenius",
+        "FrobeniusWitness", "NotASolution", "NotFrobenius",
         "StandardizationResult", "build_frobenius", "build_xy", "conjugator_between",
         "default_offset", "defect", "family_member", "recover_parameters",
         "solve_family", "standardize_frobenius", "subgroup_closure"

@@ -2,13 +2,13 @@
 
 The two seed words give x of order 3 and y of order 7 whose commutation
 defect ``x y x^-1 y^-2`` is a fixed nonzero lattice vector, so ``<x, y>`` is
-not Frobenius as it stands.  Translating y by a lattice vector N repairs it:
-``v = A^N y`` satisfies ``x v x^-1 = v^2`` and ``v^7 = 1`` exactly when N
-solves an integer linear system (21 conjugation equations plus one orbit-sum
-equation per y-orbit).  The solution set is an affine family of rank 6.
-All resulting subgroups ``<x, A^N y>`` form one conjugacy class: F21 acts
-freely on the 21 pairs, so two of its lifts with the same permutations differ
-by the pure conjugator that :func:`quotient.pure_conjugator` finds, and
+not Frobenius as it stands.  Translating y by a lattice vector N repairs it
+when ``v = A^N y`` satisfies ``x v x^-1 = v^2`` and ``v^7 = 1``.  F21 acts
+freely on the 21 pairs, so ``H^1(F21, Z^21) = 0``: the repaired pairs are
+the conjugates ``A^theta (x, v0) A^-theta`` with theta constant on the 7
+orbits of x, and the N form an affine family of rank 7 - 1 = 6.  All the
+subgroups ``<x, A^N y>`` form one conjugacy class, the pure conjugator is
+what :func:`quotient.pure_conjugator` finds, and
 ``standardize_frobenius`` carries any F21 pair onto ``(x, v0)`` with
 :func:`quotient.subgroup_conjugator`.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .braidword import BraidWord, PairVector, VerificationError, pair_images, pair_index
+from .braidword import BraidWord, PairVector, VerificationError
 from .permutation import Permutation, Record, closure
 from .quotient import (
     QuotientElement,
@@ -28,13 +28,11 @@ from .quotient import (
     element_order,
     mul,
     normalize,
-    orbit_sums,
     power,
     pure,
     pure_conjugator,
     subgroup_conjugator,
 )
-from .zlinalg import lattices_equal, mat_vec, solve_integer
 
 N_STRANDS = 7
 
@@ -46,15 +44,11 @@ ALPHA = Permutation.from_text(7, "(1,3,4,2,5,6,7)")
 
 
 class NotASolution(ValueError):
-    """The offset vector does not solve the Frobenius repair system."""
+    """The offset vector does not repair the Frobenius relations."""
 
 
 class NotFrobenius(ValueError):
     """The input pair does not satisfy the order-21 Frobenius relations."""
-
-
-class InconsistentSystem(RuntimeError):
-    """The repair system has no integer solution (implementation bug)."""
 
 
 @lru_cache(maxsize=1)
@@ -85,8 +79,11 @@ def default_offset() -> PairVector:
 
 
 def family_member(r: tuple[int, int, int, int, int, int]) -> PairVector:
-    """The rank-6 closed-form parametrization of all repair vectors."""
-    r1, r2, r3, r4, r5, r6 = (int(v) for v in r)
+    """The rank-6 closed-form parametrization of all repair vectors; r must
+    be a list or tuple of six ints (not bools, floats or strings)."""
+    if not isinstance(r, (list, tuple)) or len(r) != 6 or any(type(v) is not int for v in r):
+        raise ValueError(f"family parameters must be six integers, got {r!r}")
+    r1, r2, r3, r4, r5, r6 = r
     return PairVector.from_pairs(
         N_STRANDS,
         {
@@ -134,7 +131,7 @@ def recover_parameters(N: PairVector) -> tuple[int, int, int, int, int, int]:
 
 
 class SolutionFamily(Record):
-    """Integer solution set of the repair system: ``particular + Z-span(kernel)``."""
+    """The repair vectors: ``particular + Z-span(kernel)``."""
 
     _fields = ("particular", "kernel")
     particular: PairVector
@@ -152,64 +149,20 @@ class SolutionFamily(Record):
         return True
 
 
-def _system() -> tuple[list[list[int]], list[int]]:
-    """24 rows: one conjugation equation per pair, one sum per y-orbit."""
-    x, y = build_xy()
-    d = defect(x, y)
-    alpha, beta = pair_images(ALPHA), pair_images(BETA)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    # x (A^N y) x^-1 = (A^N y)^2 reduces to N[beta Q] + D[Q] = N[Q] + N[alpha Q]
-    for q, c in enumerate(d.coeffs):
-        row = [0] * len(alpha)
-        row[q] += 1
-        row[alpha[q]] += 1
-        row[beta[q]] -= 1
-        rows.append(row)
-        rhs.append(c)
-    # (A^N y)^7 = 1 reduces to 2 * (N-sum over O) = -s_O on each y-orbit O
-    for orbit, s in orbit_sums(y):
-        row = [0] * len(alpha)
-        for p in orbit:
-            row[pair_index(N_STRANDS, *p)] = 1
-        rows.append(row)
-        rhs.append(-s // 2)
-    return rows, rhs
-
-
-@lru_cache(maxsize=1)
 def solve_family() -> SolutionFamily:
-    """Solve the repair system and cross-check the closed-form family.
+    """The repair family: N0 plus the six directions of :func:`family_member`.
 
-    The kernel has rank 6; the reference vector N0 is a particular solution;
-    and the affine lattice of :func:`family_member` equals the solution set.
+    Nothing is solved.  ``(x, A^N y)`` and ``(x, v0)`` lift F21 alike, so
+    they differ by a 1-cocycle in ``Z^21``, which F21 permutes freely; as
+    ``H^1(F21, Z^21) = 0`` (Brown, GTM 87, III.5 and III.10) it is the
+    coboundary of a theta constant on the 7 orbits of x, which moves v0 by
+    ``theta - ALPHA.theta``, zero only for theta constant on all 21 pairs.
+    Hence rank 7 - 1 = 6, and kernel[i] is the direction of parameter i:
+    ``family_member(r) = family_member(0) + sum r_i kernel[i]``.
     """
-    M, rhs = _system()
-    solved = solve_integer(M, rhs)
-    if solved is None:
-        raise InconsistentSystem("repair system has no integer solution")
-    _, kernel = solved
-    if len(kernel) != 6:
-        raise InconsistentSystem(f"kernel rank {len(kernel)} != 6")
-    n0 = default_offset()
-    if mat_vec(M, n0.coeffs) != rhs:
-        raise InconsistentSystem("reference vector fails the system")
     base = family_member((0,) * 6)
-    if mat_vec(M, base.coeffs) != rhs:
-        raise InconsistentSystem("closed-form base point fails the system")
-    unit = [
-        tuple(int(e == i) for e in range(6))
-        for i in range(6)
-    ]
-    directions = [
-        list((family_member(u) - base).coeffs) for u in unit
-    ]
-    if not lattices_equal(kernel, directions):
-        raise InconsistentSystem("closed-form directions do not span the kernel")
-    return SolutionFamily(
-        particular=n0,
-        kernel=tuple(PairVector(N_STRANDS, tuple(k)) for k in kernel),
-    )
+    units = (tuple(int(e == i) for e in range(6)) for i in range(6))
+    return SolutionFamily(default_offset(), tuple(family_member(u) - base for u in units))
 
 
 class FrobeniusWitness(Record):
@@ -238,10 +191,14 @@ def _relation_record(name: str, left: QuotientElement, right: QuotientElement) -
 
 
 def build_frobenius(N: PairVector | None = None) -> FrobeniusWitness:
-    """Witness for the repaired pair ``(x, A^N y)``; N defaults to N0."""
+    """Witness for the repaired pair ``(x, A^N y)``; N defaults to N0.
+
+    The certificate decides membership in the repair family: an N off it,
+    or not on 7 strands, raises ``NotASolution``.
+    """
     if N is None:
         N = default_offset()
-    if not solve_family().contains(N):
+    if N.n != N_STRANDS:
         raise NotASolution(f"offset does not repair the relation: {N}")
     x, y = build_xy()
     v = mul(pure(N), y)
@@ -252,7 +209,7 @@ def build_frobenius(N: PairVector | None = None) -> FrobeniusWitness:
         _relation_record("x v x^-1 = v^2", conjugate(v, x), power(v, 2)),
     )
     if not all(rec["holds"] for rec in certificate):
-        raise VerificationError("certificate failed for a family member")
+        raise NotASolution(f"offset does not repair the relation: {N}")
     return FrobeniusWitness(x=x, v=v, certificate=certificate)
 
 

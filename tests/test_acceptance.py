@@ -49,6 +49,8 @@ from braidcryst.torsion import (
     torsion_element,
     torsion_witness,
 )
+from braidcryst.zlinalg import lattices_equal, mat_vec, solve_integer
+from test_frobenius import repair_system
 from word_oracle import LIFTS, closed_cocycle, reverse_scan_lift, word_cocycle, word_mul, word_normalize
 
 
@@ -112,6 +114,12 @@ def _criterion_3():
     fam = solve_family()
     assert fam.rank == 6
     assert len(fam.kernel) == 6
+    # the family is the integer solution set of the 24-row repair system
+    M, rhs = repair_system()
+    solved = solve_integer(M, rhs)
+    assert solved is not None
+    assert mat_vec(M, list(default_offset().coeffs)) == rhs
+    assert lattices_equal(solved[1], [list(k.coeffs) for k in fam.kernel])
     # the designated particular solution
     assert fam.contains(default_offset())
     x, y = build_xy()

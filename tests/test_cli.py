@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -213,11 +214,76 @@ def test_b3_catalog_command(capsys):
 
 
 def test_frobenius_verify_command(capsys):
+    # the whole payload, byte for byte
     code, out, _ = run(capsys, "--json", "frobenius", "verify")
     assert code == 0
-    data = json.loads(out)
-    assert data["subgroup_order"] == 21
-    assert all(rec["holds"] for rec in data["certificate"])
+    assert out == (
+        '{"x": {"n": 7, "perm": [2, 3, 1, 5, 6, 4, 7], "vec": {"1,3": -1, "4,6": -1}}, '
+        '"v": {"n": 7, "perm": [3, 5, 4, 2, 6, 7, 1], "vec": {"1,4": -1, "1,6": 1, '
+        '"1,7": -1, "2,7": -1, "3,4": -1, "3,5": 1, "3,7": -1, "4,7": -1, "5,7": -1}}, '
+        '"certificate": [{"relation": "x^3", "left": {"n": 7, "perm": [1, 2, 3, 4, 5, 6, '
+        '7], "vec": {}}, "right": {"n": 7, "perm": [1, 2, 3, 4, 5, 6, 7], "vec": {}}, '
+        '"holds": true}, {"relation": "v^7", "left": {"n": 7, "perm": [1, 2, 3, 4, 5, 6, '
+        '7], "vec": {}}, "right": {"n": 7, "perm": [1, 2, 3, 4, 5, 6, 7], "vec": {}}, '
+        '"holds": true}, {"relation": "x v x^-1 = v^2", "left": {"n": 7, "perm": [4, 6, '
+        '2, 5, 7, 1, 3], "vec": {"1,2": 1, "1,3": -1, "1,7": -1, "2,6": -1, "2,7": -1, '
+        '"3,5": 1, "3,6": -1, "3,7": -1, "4,6": -1, "4,7": -1}}, "right": {"n": 7, '
+        '"perm": [4, 6, 2, 5, 7, 1, 3], "vec": {"1,2": 1, "1,3": -1, "1,7": -1, '
+        '"2,6": -1, "2,7": -1, "3,5": 1, "3,6": -1, "3,7": -1, "4,6": -1, "4,7": -1}}, '
+        '"holds": true}], "subgroup_order": 21}'
+    )
+
+
+def test_frobenius_verify_command_with_an_offset(capsys):
+    offset = json.dumps(braidcryst.family_member((1, -2, 0, 3, 0, 1)).to_json())
+    code, out, _ = run(capsys, "--json", "frobenius", "verify", "--offset-json", offset)
+    assert code == 0
+    assert out == (
+        '{"x": {"n": 7, "perm": [2, 3, 1, 5, 6, 4, 7], "vec": {"1,3": -1, "4,6": -1}}, '
+        '"v": {"n": 7, "perm": [3, 5, 4, 2, 6, 7, 1], "vec": {"1,2": 5, "1,3": 1, '
+        '"1,5": -2, "1,7": -5, "2,3": 1, "2,4": -6, "2,5": 2, "2,7": -4, "3,4": 3, '
+        '"3,5": -3, "3,6": 2, "3,7": -6, "4,6": 3, "4,7": -2, "5,7": 3, "6,7": 3}}, '
+        '"certificate": [{"relation": "x^3", "left": {"n": 7, "perm": [1, 2, 3, 4, 5, 6, '
+        '7], "vec": {}}, "right": {"n": 7, "perm": [1, 2, 3, 4, 5, 6, 7], "vec": {}}, '
+        '"holds": true}, {"relation": "v^7", "left": {"n": 7, "perm": [1, 2, 3, 4, 5, 6, '
+        '7], "vec": {}}, "right": {"n": 7, "perm": [1, 2, 3, 4, 5, 6, 7], "vec": {}}, '
+        '"holds": true}, {"relation": "x v x^-1 = v^2", "left": {"n": 7, "perm": [4, 6, '
+        '2, 5, 7, 1, 3], "vec": {"1,2": 2, "1,3": 4, "1,4": 2, "1,6": -6, "1,7": -4, '
+        '"2,3": 1, "2,4": -4, "2,5": 2, "2,6": 3, "2,7": -6, "3,4": -2, "3,7": -5, '
+        '"4,6": -1, "4,7": 3, "5,6": 3, "5,7": 3, "6,7": -1}}, "right": {"n": 7, '
+        '"perm": [4, 6, 2, 5, 7, 1, 3], "vec": {"1,2": 2, "1,3": 4, "1,4": 2, "1,6": -6, '
+        '"1,7": -4, "2,3": 1, "2,4": -4, "2,5": 2, "2,6": 3, "2,7": -6, "3,4": -2, '
+        '"3,7": -5, "4,6": -1, "4,7": 3, "5,6": 3, "5,7": 3, "6,7": -1}}, '
+        '"holds": true}], "subgroup_order": 21}'
+    )
+
+
+@pytest.mark.parametrize(
+    "offset, message",
+    [
+        ("{}", "offset does not repair the relation: 0"),
+        ('{"1,2": 1}', "offset does not repair the relation: {1,2}:1"),
+        ('{"1,2": 99999999999999999999}',
+         "offset does not repair the relation: {1,2}:99999999999999999999"),
+        ("5", 'vector must be an object of "i,j": integer entries, got 5'),
+        ("[]", 'vector must be an object of "i,j": integer entries, got []'),
+        ('{"1,8": 1}', "bad pair (1,8) for n=7"),
+        ('{"1,2": 1, "2,1": 1}', "bad pair (2,1) for n=7"),
+        ('{"x": 1}', "bad pair key 'x': expected \"i,j\""),
+        ('{"1,2": 1.5}', "coefficient of '1,2' must be an integer, got 1.5"),
+        ('{"1,2": true}', "coefficient of '1,2' must be an integer, got True"),
+        ("nope", "Expecting value: line 1 column 1 (char 0)"),
+    ],
+)
+def test_frobenius_verify_error_lines(offset, message):
+    assert _call("frobenius", "verify", "--offset-json", offset) == (1, "", [f"error: {message}"])
+
+
+def test_frobenius_verify_rejects_an_offset_under_optimize():
+    # the relation check is not an assert, so python -O keeps it
+    done = run_capped("-O", "-m", "braidcryst.cli", "frobenius", "verify", "--offset-json", "{}")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: offset does not repair the relation: 0\n"
 
 
 def test_frobenius_family_command(capsys):
@@ -226,6 +292,90 @@ def test_frobenius_family_command(capsys):
     data = json.loads(out)
     assert data["rank"] == 6
     assert len(data["kernel"]) == 6
+
+
+#: The kernel basis ``frobenius family`` printed when the family came from an
+#: integer solve of the repair system; any basis of that lattice is right.
+SOLVED_KERNEL = [
+    {"1,3": 1, "1,5": -1, "2,6": -1, "2,7": 1, "3,4": -1, "4,5": 1},
+    {"1,4": -1, "1,5": 1, "2,4": 1, "2,5": -1, "3,6": -1, "3,7": 1},
+    {"1,2": -1, "1,3": -1, "1,4": 1, "1,7": 1, "2,3": -1, "4,7": 1},
+    {"1,3": -1, "1,5": 1, "2,3": -1, "2,5": -1, "2,6": 1, "2,7": -1, "3,4": 1, "3,5": -1,
+     "4,6": 1, "5,6": 1},
+    {"1,2": 1, "1,6": -1, "2,4": -1, "3,4": 1, "3,5": -1, "5,7": 1},
+    {"1,4": -1, "1,5": 1, "1,6": 1, "1,7": -1, "2,4": 1, "2,5": -1, "2,7": -1, "3,6": -1,
+     "4,6": 1, "6,7": 1},
+]
+
+
+def test_frobenius_family_command_output(capsys):
+    from braidcryst.zlinalg import lattices_equal
+
+    code, out, _ = run(capsys, "--json", "--seed", "3", "frobenius", "family", "--sample", "4")
+    assert code == 0
+    data = json.loads(out)
+    assert data["rank"] == 6
+    assert data["particular"] == {"1,6": 1, "2,7": -1, "3,5": 1, "5,7": -1}
+    assert data["samples"] == [
+        {"r": [-2, 1, 1, -2, -1, 1],
+         "offset": {"1,2": -2, "1,3": -2, "1,4": 1, "1,5": 1, "1,6": -1, "1,7": 4, "2,3": -2,
+                    "2,4": 1, "2,5": -1, "2,6": 1, "2,7": 1, "3,5": 1, "3,7": 3, "4,6": -2,
+                    "4,7": 1, "5,6": 1, "5,7": -2, "6,7": -3}},
+        {"r": [0, 2, 1, -3, 1, -3],
+         "offset": {"1,3": 1, "1,4": -3, "1,5": 2, "1,6": 1, "2,4": 3, "2,5": -3, "2,6": 1,
+                    "3,4": -1, "3,5": 1, "3,6": -1, "3,7": 3, "4,5": 1, "4,7": -2, "5,6": 2,
+                    "5,7": -3, "6,7": -2}},
+        {"r": [3, 0, -1, 1, -2, -2],
+         "offset": {"1,2": 3, "1,3": 2, "1,4": -2, "1,6": -2, "2,3": 3, "2,4": -1, "2,5": 1,
+                    "2,6": -1, "2,7": 1, "3,4": 1, "3,5": 1, "3,6": -1, "3,7": 2, "4,5": -1,
+                    "4,6": -3, "4,7": -1, "5,6": -2, "5,7": 1, "6,7": -1}},
+        {"r": [2, 0, 1, 3, 1, 0],
+         "offset": {"1,2": 5, "1,6": 1, "1,7": -5, "2,3": 2, "2,4": -5, "2,5": 2, "2,6": 1,
+                    "2,7": -6, "3,4": 5, "3,5": -2, "3,6": 1, "3,7": -5, "4,5": -2, "4,6": 3,
+                    "4,7": -1, "5,6": -1, "5,7": 3, "6,7": 4}},
+    ]
+
+    def rows(vectors):
+        return [list(braidcryst.PairVector.from_json(7, v).coeffs) for v in vectors]
+
+    assert lattices_equal(rows(data["kernel"]), rows(SOLVED_KERNEL))
+    # and the new bytes, with the kernel read off family_member
+    assert out == (
+        '{"rank": 6, "particular": {"1,6": 1, "2,7": -1, "3,5": 1, "5,7": -1}, '
+        '"kernel": [{"2,3": 1, "2,5": 1, "3,5": 1, "4,5": -1, "4,6": -1, "5,6": -1}, '
+        '{"1,2": -1, "1,3": -1, "1,5": 1, "1,7": 1, "2,4": 1, "3,5": 1, "3,6": -1, '
+        '"3,7": 1, "4,5": -1, "4,6": -1, "4,7": 1, "5,6": -1}, {"1,2": 1, "1,7": -1, '
+        '"2,4": -1, "2,6": 1, "2,7": -1, "3,4": 1, "3,5": -1, "3,6": 1, "3,7": -1, '
+        '"4,6": 1, "4,7": -1, "5,6": 1}, {"1,2": 1, "1,7": -1, "2,4": -1, "2,7": -1, '
+        '"3,4": 1, "3,5": -1, "3,7": -1, "4,6": 1, "5,7": 1, "6,7": 1}, {"1,6": 1, '
+        '"1,7": -1, "2,7": -1, "3,7": -1, "4,6": 1, "6,7": 1}, {"1,2": -1, "1,3": -1, '
+        '"1,4": 1, "1,7": 1, "2,5": 1, "3,5": 1, "4,5": -1, "4,6": -1, "4,7": 1, '
+        '"5,6": -1}], "samples": [{"r": [-2, 1, 1, -2, -1, 1], "offset": {"1,2": -2, '
+        '"1,3": -2, "1,4": 1, "1,5": 1, "1,6": -1, "1,7": 4, "2,3": -2, "2,4": 1, '
+        '"2,5": -1, "2,6": 1, "2,7": 1, "3,5": 1, "3,7": 3, "4,6": -2, "4,7": 1, '
+        '"5,6": 1, "5,7": -2, "6,7": -3}}, {"r": [0, 2, 1, -3, 1, -3], '
+        '"offset": {"1,3": 1, "1,4": -3, "1,5": 2, "1,6": 1, "2,4": 3, "2,5": -3, '
+        '"2,6": 1, "3,4": -1, "3,5": 1, "3,6": -1, "3,7": 3, "4,5": 1, "4,7": -2, '
+        '"5,6": 2, "5,7": -3, "6,7": -2}}, {"r": [3, 0, -1, 1, -2, -2], '
+        '"offset": {"1,2": 3, "1,3": 2, "1,4": -2, "1,6": -2, "2,3": 3, "2,4": -1, '
+        '"2,5": 1, "2,6": -1, "2,7": 1, "3,4": 1, "3,5": 1, "3,6": -1, "3,7": 2, '
+        '"4,5": -1, "4,6": -3, "4,7": -1, "5,6": -2, "5,7": 1, "6,7": -1}}, {"r": [2, 0, '
+        '1, 3, 1, 0], "offset": {"1,2": 5, "1,6": 1, "1,7": -5, "2,3": 2, "2,4": -5, '
+        '"2,5": 2, "2,6": 1, "2,7": -6, "3,4": 5, "3,5": -2, "3,6": 1, "3,7": -5, '
+        '"4,5": -2, "4,6": 3, "4,7": -1, "5,6": -1, "5,7": 3, "6,7": 4}}]}'
+    )
+
+
+def test_frobenius_family_kernel_coordinates_are_the_r_parameters(capsys):
+    # family_member(r) = family_member(0) + sum r_i kernel[i]
+    _, out, _ = run(capsys, "--json", "frobenius", "family")
+    kernel = [braidcryst.PairVector.from_json(7, v).coeffs for v in json.loads(out)["kernel"]]
+    base = braidcryst.family_member((0,) * 6).coeffs
+    rng = random.Random(61)
+    for _ in range(50):
+        r = tuple(rng.randint(-6, 6) for _ in range(6))
+        expect = [b + sum(ri * k[q] for ri, k in zip(r, kernel)) for q, b in enumerate(base)]
+        assert braidcryst.family_member(r).coeffs == tuple(expect)
 
 
 def test_frobenius_family_sampling_is_seeded(capsys):
@@ -257,6 +407,20 @@ def test_frobenius_conjugator_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert "theta" in data and "offset" in data
+
+
+def test_frobenius_conjugator_output(capsys):
+    # the whole payload, byte for byte
+    code, out, _ = run(capsys, "--json", "frobenius", "conjugator", "--r", "1,-2,0,3,0,1")
+    assert code == 0
+    assert out == (
+        '{"offset": {"1,2": 5, "1,3": 1, "1,4": 1, "1,5": -2, "1,7": -4, "2,3": 1, '
+        '"2,4": -6, "2,5": 2, "2,7": -4, "3,4": 4, "3,5": -3, "3,6": 2, "3,7": -5, '
+        '"4,6": 3, "4,7": -1, "5,7": 3, "6,7": 3}, "theta": {"1,4": 1, "1,5": -1, '
+        '"1,6": -5, "1,7": -4, "2,4": -5, "2,5": 1, "2,6": -1, "2,7": -4, "3,4": -1, '
+        '"3,5": -5, "3,6": 1, "3,7": -4, "4,5": -1, "4,6": -1, "4,7": -1, "5,6": -1, '
+        '"5,7": -1, "6,7": -1}}'
+    )
 
 
 def test_frobenius_conjugator_requires_r():
@@ -723,7 +887,7 @@ print(sorted({"Permutation", "pairs", "mul", "torsion_witness"} & set(vars(braid
 # a Bieberbach answer needs neither torsion nor zlinalg
 cli.main(["--n", "4", "bieberbach", "(1,2)", "(3,4)"])
 print(loaded())
-# the Frobenius certificate needs neither conjugacy nor torsion
+# the Frobenius certificate needs neither conjugacy, torsion nor zlinalg
 cli.main(["frobenius", "verify"])
 print(loaded())
 print(braidcryst.conjugacy.__name__, "braidcryst.conjugacy" in loaded())
@@ -747,8 +911,7 @@ def test_cold_start_loads_only_what_the_verb_runs():
         "x v x^-1 = v^2: ok",
         "subgroup order: 21",
         "['braidcryst.braidword', 'braidcryst.cli', 'braidcryst.frobenius', "
-        "'braidcryst.permutation', 'braidcryst.quotient', 'braidcryst.subgroups', "
-        "'braidcryst.zlinalg']",
+        "'braidcryst.permutation', 'braidcryst.quotient', 'braidcryst.subgroups']",
         "braidcryst.conjugacy True",
     ]
 

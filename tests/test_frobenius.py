@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from braidcryst.braidword import BraidWord, PairVector, pairs
+from braidcryst.braidword import BraidWord, PairVector, pair_images, pair_index, pairs
 from braidcryst.frobenius import (
     ALPHA,
     BETA,
-    InconsistentSystem,
     NotASolution,
     NotFrobenius,
     X_WORD,
@@ -29,20 +28,54 @@ from braidcryst.frobenius import (
 )
 from braidcryst.quotient import (
     QuotientElement,
+    basis_orbits,
     conjugate,
     element_order,
     inverse,
     mul,
     normalize,
+    orbit_sums,
     power,
     pure,
 )
 from braidcryst.torsion import BlockSpec, torsion_element
+from braidcryst.zlinalg import lattices_equal, mat_vec, solve_integer
 from test_zlinalg import run_python
 
 
 DEFECT_PLUS = [(1, 2), (1, 6), (1, 7), (4, 7)]
 DEFECT_MINUS = [(2, 4), (2, 6), (2, 7), (4, 6)]
+
+
+def repair_system() -> tuple[list[list[int]], list[int]]:
+    """The repair relations as an integer system ``M N = rhs`` in the 21
+    coefficients of N: one conjugation equation per pair, one sum per
+    y-orbit.  An oracle for the family :func:`solve_family` writes down."""
+    x, y = build_xy()
+    d = defect(x, y)
+    alpha, beta = pair_images(ALPHA), pair_images(BETA)
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    # x (A^N y) x^-1 = (A^N y)^2 reduces to N[beta Q] + D[Q] = N[Q] + N[alpha Q]
+    for q, c in enumerate(d.coeffs):
+        row = [0] * len(alpha)
+        row[q] += 1
+        row[alpha[q]] += 1
+        row[beta[q]] -= 1
+        rows.append(row)
+        rhs.append(c)
+    # (A^N y)^7 = 1 reduces to 2 * (N-sum over O) = -s_O on each y-orbit O
+    for orbit, s in orbit_sums(y):
+        row = [0] * len(alpha)
+        for p in orbit:
+            row[pair_index(7, *p)] = 1
+        rows.append(row)
+        rhs.append(-s // 2)
+    return rows, rhs
+
+
+def kernel_rows(family):
+    return [list(k.coeffs) for k in family.kernel]
 
 
 def test_generator_words_and_permutations():
@@ -101,6 +134,71 @@ def test_family_solves_and_has_rank_six():
         assert recover_parameters(N) == r
 
 
+def test_family_is_the_integer_solution_set_of_the_repair_system():
+    M, rhs = repair_system()
+    assert (len(M), len(rhs)) == (24, 24)
+    solved = solve_integer(M, rhs)
+    assert solved is not None
+    particular, kernel = solved
+    assert mat_vec(M, particular) == rhs
+    assert mat_vec(M, list(default_offset().coeffs)) == rhs
+    assert mat_vec(M, list(family_member((0,) * 6).coeffs)) == rhs
+    assert len(kernel) == 6
+    assert lattices_equal(kernel, kernel_rows(solve_family()))
+
+
+def test_family_is_the_conjugates_of_v0_by_x_invariant_vectors():
+    # H^1(F21, Z^21) = 0: the repaired partners of x are A^theta v0 A^-theta
+    # with theta constant on each x-orbit; the 7 orbit indicators span them
+    x, v0 = reference_pair()
+    orbits = basis_orbits(x)
+    assert len(orbits) == 7
+    moved = []
+    for orbit in orbits:
+        mover = pure(PairVector.from_pairs(7, {P: 1 for P in orbit}))
+        assert conjugate(x, mover) == x
+        moved.append(list((conjugate(v0, mover).vec - v0.vec).coeffs))
+    assert lattices_equal(moved, kernel_rows(solve_family()))
+    # theta = all ones is F21-invariant and moves nothing: rank 7 - 1
+    assert all(sum(col) == 0 for col in zip(*moved))
+
+
+def test_certificate_decides_family_membership():
+    # 42 single-coefficient mutations of N0 and 200 family members: the
+    # relation check in build_frobenius agrees with the closed form
+    fam = solve_family()
+    N0 = default_offset()
+    offsets = [N0 + PairVector.basis(7, *P) for P in pairs(7)]
+    offsets += [N0 - PairVector.basis(7, *P) for P in pairs(7)]
+    rng = random.Random(67)
+    offsets += [family_member(tuple(rng.randint(-9, 9) for _ in range(6))) for _ in range(200)]
+    members = 0
+    for N in offsets:
+        if fam.contains(N):
+            members += 1
+            assert build_frobenius(N).v == mul(pure(N), build_xy()[1])
+        else:
+            with pytest.raises(NotASolution, match="offset does not repair the relation"):
+                build_frobenius(N)
+    assert members == 200
+
+
+def test_family_member_takes_six_ints_only():
+    assert family_member([1, 1, 2, 0, 0, 0]) == family_member((1, 1, 2, 0, 0, 0))
+    for r in [
+        ("1", True, 2.9, 0, 0, 0),
+        (1, True, 2, 0, 0, 0),
+        (1, 1, 2.0, 0, 0, 0),
+        ("1", 1, 2, 0, 0, 0),
+        (1, 1, 2, 0, 0),
+        (1, 1, 2, 0, 0, 0, 0),
+        iter((1, 1, 2, 0, 0, 0)),
+        "123456",
+    ]:
+        with pytest.raises(ValueError, match="family parameters must be six integers"):
+            family_member(r)
+
+
 def test_family_membership_is_exact():
     fam = solve_family()
     assert not fam.contains(PairVector.zero(7))
@@ -136,6 +234,10 @@ def test_build_frobenius_rejects_non_solutions():
         build_frobenius(PairVector.zero(7))
     with pytest.raises(NotASolution):
         build_frobenius(default_offset() + PairVector.basis(7, 1, 2))
+    # an offset on other strands, with the same message
+    for n in (5, 8):
+        with pytest.raises(NotASolution, match=r"^offset does not repair the relation: 0$"):
+            build_frobenius(PairVector.zero(n))
 
 
 def test_subgroup_closure_is_f21():
