@@ -16,6 +16,7 @@ totals (a pure word crosses every strand pair an even number of times).
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .permutation import Permutation, Record, parse_int
@@ -30,8 +31,13 @@ class VerificationError(AssertionError):
     it; unlike an ``assert``, the check still runs under ``python -O``."""
 
 
+@lru_cache(maxsize=64)
 def pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """All pairs ``(i, j)`` with ``1 <= i < j <= n`` in lexicographic order."""
+    """All pairs ``(i, j)`` with ``1 <= i < j <= n`` in lexicographic order.
+
+    Built once per process for each of the last 64 degrees; callers share
+    the tuple and its pairs.
+    """
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
@@ -74,9 +80,13 @@ class BraidWord(Record):
     letters: tuple[int, ...]
 
     def __init__(self, n: int, letters: tuple[int, ...]) -> None:
+        if type(n) is not int:
+            raise TypeError(f"strand count must be an integer, got {n!r}")
         if n < 2:
             raise ValueError("need at least 2 strands")
         for e in letters:
+            if type(e) is not int:
+                raise TypeError(f"braid word letters must be integers, got {e!r}")
             if e == 0 or abs(e) > n - 1:
                 raise ValueError(f"letter {e} out of range for n={n}")
         object.__setattr__(self, "n", n)

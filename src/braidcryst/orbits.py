@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .braidword import VerificationError
+from .braidword import VerificationError, pair_offsets, pairs
 from .permutation import Record
 from .quotient import QuotientElement, basis_orbits
 from .torsion import BlockSpec, torsion_element
@@ -24,7 +24,7 @@ Pair = tuple[int, int]
 
 
 class OrbitTable(Record):
-    _fields = ("element", "orbits")
+    __slots__ = _fields = ("element", "orbits")
     element: QuotientElement
     orbits: tuple[tuple[Pair, ...], ...]
 
@@ -82,11 +82,16 @@ def _families(spec: BlockSpec) -> Iterator[tuple[tuple, list[Pair]]]:
 
 
 def closed_form_orbits(spec: BlockSpec) -> OrbitTable:
-    """Orbit table of ``torsion_element(spec)`` from index formulas alone."""
+    """Orbit table of ``torsion_element(spec)`` from index formulas alone.
+
+    Its pairs are the very tuples of ``pairs(spec.n)``, shared by every table
+    on ``n`` strands rather than built afresh for each.
+    """
+    basis, off = pairs(spec.n), pair_offsets(spec.n)
     rotated = []
     for _, orbit in _families(spec):
         k = orbit.index(min(orbit))
-        rotated.append(tuple(orbit[k:] + orbit[:k]))
+        rotated.append(tuple(basis[off[i] + j] for i, j in orbit[k:] + orbit[:k]))
     return OrbitTable(torsion_element(spec), tuple(sorted(rotated, key=lambda o: o[0])))
 
 

@@ -41,7 +41,7 @@ TORSION_CACHE_SIZE = 256
 class BlockSpec(Record):
     """Ascending odd block lengths ``k1 <= ... <= ks``, each >= 3, fitting in n."""
 
-    _fields = ("n", "blocks")
+    __slots__ = _fields = ("n", "blocks")
     n: int
     blocks: tuple[int, ...]
 

@@ -25,6 +25,7 @@ def test_pairs_lexicographic():
     assert pairs(4) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     for n in range(2, 9):
         ps = pairs(n)
+        assert ps is pairs(n)  # cached: every caller shares the tuple
         assert len(ps) == n * (n - 1) // 2
         for idx, (i, j) in enumerate(ps):
             assert pair_index(n, i, j) == idx
@@ -49,6 +50,19 @@ def test_word_rejects_out_of_range_letters():
         BraidWord(3, (3,))
     with pytest.raises(ValueError):
         BraidWord.from_text(3, "0")
+
+
+def test_word_takes_int_letters_and_strand_count_only():
+    # a float or bool letter used to be stored, print as "1.0 2", and fail
+    # later in permutation() with an unrelated list-index TypeError
+    for letters in ((1.0, 2), (True, 2), (1, "2"), (1, None)):
+        with pytest.raises(TypeError, match="braid word letters must be integers"):
+            BraidWord(3, letters)
+    for n in (3.0, True, "3", None):
+        with pytest.raises(TypeError, match="strand count must be an integer"):
+            BraidWord(n, (1,))
+    w = BraidWord(3, (1, -2))
+    assert str(w) == "1 -2" and w.permutation() == Permutation.from_text(3, "(1,3,2)")
 
 
 def test_word_permutation_first_letter_acts_first():

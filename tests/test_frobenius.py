@@ -11,6 +11,7 @@ from braidcryst.frobenius import (
     BETA,
     NotASolution,
     NotFrobenius,
+    StandardizationResult,
     X_WORD,
     Y_WORD,
     build_frobenius,
@@ -26,6 +27,7 @@ from braidcryst.frobenius import (
     standardize_frobenius,
     subgroup_closure,
 )
+from braidcryst.permutation import closure
 from braidcryst.quotient import (
     QuotientElement,
     basis_orbits,
@@ -37,6 +39,7 @@ from braidcryst.quotient import (
     orbit_sums,
     power,
     pure,
+    subgroup_conjugator,
 )
 from braidcryst.torsion import BlockSpec, torsion_element
 from braidcryst.zlinalg import lattices_equal, mat_vec, solve_integer
@@ -399,6 +402,59 @@ def test_standardize_random_conjugates():
             )
         )
         assert image == target
+
+
+def standardize_with_closure_check(g3, g7):
+    """:func:`standardize_frobenius` as it was when every call listed
+    ``<x, v0>`` again by closure and compared it with the reference group."""
+    if g3.n != 7 or g7.n != 7:
+        raise NotFrobenius("generators must live on 7 strands")
+    if element_order(g3) != 3 or element_order(g7) != 7:
+        raise NotFrobenius("wrong orders")
+    if conjugate(g7, g3) != power(g7, 2):
+        raise NotFrobenius("conjugation relation g3 g7 g3^-1 = g7^2 fails")
+    x, v0 = reference_pair()
+    c = subgroup_conjugator((g3, g7), (x, v0))
+    assert c is not None
+    assert closure(QuotientElement.identity(7), (x, v0)) == reference_group()
+    return StandardizationResult(conjugator=c, power=1)
+
+
+def test_standardize_lists_no_group_per_call(monkeypatch):
+    import braidcryst.frobenius as f
+    import braidcryst.quotient as quotient
+
+    rng = random.Random(61)
+    x0, v0 = reference_pair()
+    y = build_xy()[1]
+    letters = [k for k in range(-6, 7) if k]
+    inputs = []
+    for _ in range(30):
+        word = BraidWord(7, tuple(rng.choice(letters) for _ in range(rng.randint(0, 10))))
+        vec = PairVector(7, tuple(rng.randint(-2, 2) for _ in pairs(7)))
+        c = mul(normalize(word), pure(vec))
+        vr = mul(pure(family_member(tuple(rng.randint(-3, 3) for _ in range(6)))), y)
+        inputs.append((conjugate(x0, c), conjugate(power(vr, rng.randint(1, 6)), c)))
+    expected = [standardize_with_closure_check(g3, g7) for g3, g7 in inputs]
+    standardize_frobenius(*inputs[0])  # warm up: the reference constants exist
+
+    calls = {"mul": 0, "closure": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    counted_mul = spy("mul", quotient.mul)
+    monkeypatch.setattr(quotient, "mul", counted_mul)
+    monkeypatch.setattr(f, "mul", counted_mul)
+    monkeypatch.setattr(f, "closure", spy("closure", f.closure))
+    for (g3, g7), want in zip(inputs, expected):
+        calls["mul"] = 0
+        assert standardize_frobenius(g3, g7) == want
+        assert calls["mul"] <= 20
+    assert calls["closure"] == 0
 
 
 def test_each_centralizer_branch_is_reachable_deterministically():

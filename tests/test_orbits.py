@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 
-from braidcryst.braidword import BraidWord, pairs
+from braidcryst.braidword import BraidWord, pair_index, pairs
 from braidcryst.orbits import closed_form_orbits, enumerate_orbits, relabeled_basis
 from braidcryst.quotient import normalize
 from braidcryst.torsion import BlockSpec, block_cycle, iter_block_specs, torsion_element
@@ -24,6 +24,15 @@ def test_orbit_tables_partition_the_basis():
             seen = sorted(P for orbit in table.orbits for P in orbit)
             assert seen == sorted(pairs(n))
             assert table.sizes() == tuple(len(o) for o in table.orbits)
+
+
+def test_closed_form_tables_share_the_pair_tuples():
+    for n in range(2, 13):
+        basis = pairs(n)
+        for spec in iter_block_specs(n):
+            for orbit in closed_form_orbits(spec).orbits:
+                for P in orbit:
+                    assert basis[pair_index(n, *P)] is P
 
 
 def test_orbits_follow_the_action():

@@ -89,3 +89,15 @@ def test_value_class_behaviour(cls, fields, text, changed, invalid):
         cls(*fields.values(), None)
     with pytest.raises(TypeError):
         cls(*list(fields.values())[:-1])
+
+
+@pytest.mark.parametrize(
+    "cls", [BlockSpec, OrbitTable, StandardizationResult, FrobeniusWitness, SolutionFamily],
+    ids=lambda cls: cls.__name__,
+)
+def test_value_class_has_no_instance_dict(cls):
+    # a caller that keeps many results pays no instance dict for each
+    fields = next(case[1] for case in CASES if case[0] is cls)
+    value = cls(**fields)
+    assert cls.__slots__ == cls._fields
+    assert not hasattr(value, "__dict__")
