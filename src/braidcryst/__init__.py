@@ -10,7 +10,7 @@ import sys
 #: Public names by the submodule that defines them.
 EXPORTS = {
     "permutation": (
-        "CycleType", "Permutation", "StabilizerChain", "conjugating_permutation", "parse_int"
+        "Permutation", "StabilizerChain", "conjugating_permutation", "parse_int"
     ),
     "braidword": (
         "BraidWord", "NotPureError", "PairVector", "VerificationError",

@@ -2,8 +2,8 @@
 
 Elements are entered either as braid words ("2 -1 5 -4") or as element JSON
 ({"n": ..., "perm": [...], "vec": {"i,j": c, ...}}); arguments starting with
-"{" are treated as JSON, and --element-json forces that reading.  Output is
-human-readable text by default and stable JSON with --json.
+"{" are treated as JSON.  Output is human-readable text by default and
+stable JSON with --json.
 
 Exit codes: 0 success, 1 domain error (reported on stderr), 2 usage error.
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -74,7 +75,7 @@ def _json(text: str):
 
 def _element(args, text: str) -> bc.QuotientElement:
     text = text.strip()
-    if args.element_json or text.startswith("{"):
+    if text.startswith("{"):
         g = bc.QuotientElement.from_json(_json(text))
         if args.n is not None and args.n != g.n:
             raise ValueError(f"--n {args.n} conflicts with element n={g.n}")
@@ -188,7 +189,7 @@ def _cmd_conjugate_test(args) -> None:
 def _cmd_conjugator(args) -> None:
     g = _element(args, args.element)
     c = bc.conjugator_to_standard(g)
-    spec = bc.BlockSpec(g.n, tuple(sorted(g.perm.cycle_type().parts)))
+    spec = bc.BlockSpec(g.n, tuple(sorted(g.perm.cycle_type())))
     _emit(
         args,
         {"conjugator": c.to_json(), "blocks": str(spec)},
@@ -318,11 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=_bounded_int(), default=0, help="seed for sampling commands (default 0)"
     )
-    parser.add_argument(
-        "--element-json",
-        action="store_true",
-        help="force element arguments to be parsed as JSON",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("nf", help="normal form of a braid word")
@@ -418,6 +414,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; keep the flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         parser.error(str(exc))
     except (ValueError, KeyError) as exc:

@@ -164,9 +164,9 @@ class Permutation:
             out.append(tuple(cycle))
         return tuple(out)
 
-    def cycle_type(self) -> "CycleType":
-        parts = tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-        return CycleType(parts, self.n)
+    def cycle_type(self) -> tuple[int, ...]:
+        """Nontrivial cycle lengths, non-increasing; blind to the degree."""
+        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
     def order(self) -> int:
         return math.lcm(1, *(len(c) for c in self.cycles()))
@@ -239,31 +239,6 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-
-class CycleType(Record):
-    """Multiset of nontrivial cycle lengths; equality ignores the degree."""
-
-    __slots__ = _fields = ("parts", "n")
-    parts: tuple[int, ...]
-    n: int
-
-    def __init__(self, parts: tuple[int, ...], n: int) -> None:
-        if tuple(sorted(parts, reverse=True)) != parts:
-            raise ValueError("parts must be sorted non-increasing")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "n", n)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycleType):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.parts)) + ")"
 
 
 def conjugating_permutation(

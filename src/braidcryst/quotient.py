@@ -113,15 +113,6 @@ class QuotientElement(Record):
     def __pow__(self, m: int) -> "QuotientElement":
         return power(self, m)
 
-    def conj(self, c: "QuotientElement") -> "QuotientElement":
-        return conjugate(self, c)
-
-    def order(self) -> int | float:
-        return element_order(self)
-
-    def embed(self, m: int) -> "QuotientElement":
-        return embed(self, m)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

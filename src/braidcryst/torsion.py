@@ -140,13 +140,11 @@ def is_torsion_offset(spec: BlockSpec, vec: PairVector) -> bool:
 
 def cyclic_torsion_element(n: int) -> QuotientElement:
     """An order-``n`` element with full-cycle permutation (``n`` odd >= 3):
-    translate the positive full-cycle lift by -1 on the first pair of each
-    of its pair orbits."""
+    the positive full-cycle lift translated by its :func:`torsion_witness`."""
     if n < 3 or n % 2 == 0:
         raise ValueError("a full-cycle torsion element needs odd n >= 3")
-    g = block_cycle(0, n, n)
-    offset = {(1, 1 + i): -1 for i in range(1, (n - 1) // 2 + 1)}
-    return mul(pure(PairVector.from_pairs(n, offset)), g)
+    p = block_cycle(0, n, n).perm
+    return QuotientElement(p, torsion_witness(p))
 
 
 def torsion_witness(p: Permutation) -> PairVector | None:

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -57,12 +58,53 @@ def test_order_of_delta_word(capsys):
     assert out == "7"
 
 
+def test_delta_prints_the_block_element(capsys):
+    code, out, _ = run(capsys, "--n", "7", "delta", "--blocks", "3,3")
+    assert code == 0
+    assert out == "(1,2,3)(4,5,6) | {1,3}:-1, {4,6}:-1"
+    code, out, _ = run(capsys, "--n", "7", "--json", "delta", "--blocks", "3,3")
+    assert code == 0
+    assert json.loads(out) == braidcryst.torsion_element(braidcryst.BlockSpec(7, (3, 3))).to_json()
+
+
 def test_order_infinite(capsys):
     code, out, _ = run(capsys, "--n", "3", "order", "1")
     assert code == 0
     assert out == "infinite"
     code, out, _ = run(capsys, "--n", "3", "--json", "order", "1")
     assert json.loads(out) == {"order": None}
+
+
+README_COMMANDS = [
+    line for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("braidcryst ")
+]
+
+
+def _readme_argument(token):
+    """``token``, or the output of the command in ``$(...)``, as the shell
+    would substitute it."""
+    if not token.startswith("$("):
+        return token
+    code, out, _ = _call(*shlex.split(token[2:-1])[1:])
+    assert code == 0, token
+    return out.rstrip("\n")
+
+
+def test_readme_has_command_examples():
+    assert len(README_COMMANDS) >= 10
+
+
+@pytest.mark.parametrize("line", README_COMMANDS, ids=lambda line: line.split("#")[0].strip())
+def test_readme_command_runs(line):
+    # a README that names a removed verb or flag fails here; on a line
+    # without --json, the trailing comment (up to two spaces) is the output
+    argv = [_readme_argument(token) for token in shlex.split(line, comments=True)[1:]]
+    code, out, err = _call(*argv)
+    assert (code, err) == (0, []), line
+    comment = line.partition("#")[2].strip()
+    if comment and "--json" not in argv:
+        assert out.strip() == comment.split("  ")[0]
 
 
 def test_element_json_round_trip(capsys):
@@ -593,6 +635,11 @@ def test_malformed_element_json_gives_one_error_line():
             QuotientElement.from_json(json.loads(text))
 
 
+def test_deeply_nested_element_gives_one_error_line():
+    text = '{"a":' * 3000 + "1" + "}" * 3000
+    assert _call("order", text) == (1, "", ["error: JSON input is nested too deeply"])
+
+
 def test_element_json_keeps_exact_large_entries():
     code, out, _ = _call("--json", "mul", '{"n":3,"perm":[1,2,3],"vec":{"1,2":100000000000000000000}}',
                          '{"n":3,"perm":[1,2,3],"vec":{"1,2":-99999999999999999999}}')
@@ -618,8 +665,10 @@ def test_strand_count_below_two_is_a_usage_error():
         (["frobenius", "conjugator"],
          "braidcryst frobenius conjugator: error: the following arguments are required: --r"),
         (["--n", "3", "nf", "1", "a\nb"], "braidcryst: error: unrecognized arguments: a b"),
+        (["--json", "count-classes", "--k", "3"], "braidcryst: error: --n is required for this command"),
     ],
-    ids=["invalid-verb", "missing-positional", "bad-n", "conjugator-without-r", "newline"],
+    ids=["invalid-verb", "missing-positional", "bad-n", "conjugator-without-r", "newline",
+         "count-classes-without-n"],
 )
 def test_usage_error_is_one_line(argv, line):
     code, out, err = _call(*argv)
@@ -667,7 +716,7 @@ _element_json = (
 def test_order_verb_on_any_element_json(data):
     # exit 0 with a JSON answer, or exit 1/2 with exactly one error line;
     # never a traceback (an exception escaping main fails the test)
-    code, out, err = _call("--json", "--element-json", "order", json.dumps(data))
+    code, out, err = _call("--json", "order", json.dumps(data))
     if code == 0:
         assert err == []
         assert set(json.loads(out)) == {"order"}
@@ -730,7 +779,7 @@ def _argv(draw):
     arity, options = SHAPES[verb]
     argument = _argument(n)
     argv = ["--n", str(n)]
-    argv += draw(st.lists(st.sampled_from(["--json", "--element-json"]), unique=True))
+    argv += draw(st.sampled_from([[], ["--json"]]))
     count = max(arity + draw(st.sampled_from([0, 0, 0, 0, 1, -1])), 0)
     argv += [verb, *(draw(argument) for _ in range(count))]
     if verb == "frobenius" and count:
@@ -763,6 +812,14 @@ def test_any_argv_exits_cleanly(capsys, argv):
         assert len(err.splitlines()) == 1, (argv, err)
 
 
+def child_env(**extra):
+    """The environment with ``extra`` set and this checkout of braidcryst
+    first on ``PYTHONPATH``."""
+    src = str(Path(braidcryst.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, **extra, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def run_capped(*args):
     """Run a fresh interpreter on this checkout of braidcryst, limited to
     600 MB of address space."""
@@ -771,13 +828,23 @@ def run_capped(*args):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    src = str(Path(braidcryst.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     return subprocess.run(
         [sys.executable, *args],
-        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
+        env=child_env(), preexec_fn=cap, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_closed_pipe_ends_quietly():
+    # like ``| head -1``: the reader takes one line of the 1.2 MB matrix and
+    # closes the pipe while the command is still writing
+    with subprocess.Popen(
+        [sys.executable, "-m", "braidcryst.cli", "--n", "40", "holonomy", "(1,2,3)"],
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        assert child.wait(timeout=60) == 1
+        assert child.stderr.read() == b""
 
 
 @pytest.mark.parametrize(
@@ -847,12 +914,9 @@ def test_bieberbach_witness_is_a_checked_odd_prime_order_element(capsys, n, gene
     code, order_out, _ = run(capsys, "--json", "order", json.dumps(data["witness"]["element"]))
     assert code == 0 and json.loads(order_out) == {"order": q}
     # the same witness on every run, whatever the hash seed
-    env = {**os.environ, "PYTHONHASHSEED": "123"}
-    src = str(Path(braidcryst.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     child = subprocess.run(
         [sys.executable, "-m", "braidcryst.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=child_env(PYTHONHASHSEED="123"), capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 0 and json.loads(child.stdout) == data
 

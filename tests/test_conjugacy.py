@@ -98,6 +98,8 @@ def test_are_conjugate_identity_and_infinite():
     assert verdict is None and witness is None
     # but different orders are decidably non-conjugate
     assert are_conjugate(g, torsion_element(BlockSpec(4, (3,)))) == (False, None)
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        are_conjugate(QuotientElement.identity(3), e)
 
 
 def test_torsion_translates_of_one_permutation_are_conjugate():

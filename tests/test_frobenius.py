@@ -209,6 +209,8 @@ def test_family_membership_is_exact():
     assert not fam.contains(bad)
     with pytest.raises(ValueError):
         recover_parameters(bad)
+    with pytest.raises(NotASolution, match="^offset vector must live on 7 strands$"):
+        recover_parameters(PairVector.zero(6))
 
 
 def test_family_members_all_work():
@@ -247,6 +249,8 @@ def test_subgroup_closure_is_f21():
     w = build_frobenius()
     elements = subgroup_closure(w.x, w.v)
     assert len(elements) == 21
+    with pytest.raises(ValueError, match="^need at least one generator$"):
+        subgroup_closure()
     orders = sorted(element_order(g) for g in elements)
     assert orders == [1] + [3] * 14 + [7] * 6
     # closed under inverse and the two generator actions

@@ -294,6 +294,9 @@ def test_embed():
         assert h.vec.coefficient(i, j) == g.vec.coefficient(i, j)
     with pytest.raises(ValueError):
         embed(g, 2)
+    # elements on different strand counts do not multiply
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        mul(g, embed(g, 4))
 
 
 def test_to_word_round_trip():

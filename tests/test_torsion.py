@@ -70,12 +70,16 @@ def test_block_cycle_word_letters():
     assert str(block_cycle_word(0, 3, 7)) == "1 2"
     assert str(block_cycle_word(3, 3, 7)) == "4 5"
     assert str(block_cycle_word(0, 7, 7)) == "1 2 3 4 5 6"
+    with pytest.raises(ValueError, match=r"^block \(r=3, k=3\) does not fit in n=5$"):
+        block_cycle_word(3, 3, 5)
 
 
 def test_torsion_block_word_letters():
     assert str(torsion_block_word(0, 3, 7)) == "2 -1"
     assert str(torsion_block_word(3, 3, 7)) == "5 -4"
     assert str(torsion_block_word(0, 7, 7)) == "6 5 4 -3 -2 -1"
+    with pytest.raises(ValueError, match=r"^block \(r=3, k=5\) does not fit in n=7$"):
+        torsion_block_word(3, 5, 7)
 
 
 def test_delta_orders_over_all_positions():
@@ -130,8 +134,19 @@ def test_cyclic_torsion_element():
         assert element_order(g) == n
         assert g.perm == block_cycle(0, n, n).perm
     assert cyclic_torsion_element(5).perm == Permutation.from_text(5, "(1,5,4,3,2)")
-    with pytest.raises(ValueError):
-        cyclic_torsion_element(4)
+    for n in (4, 1):
+        with pytest.raises(ValueError, match="^a full-cycle torsion element needs odd n >= 3$"):
+            cyclic_torsion_element(n)
+
+
+def test_cyclic_torsion_element_is_the_witnessed_lift():
+    for n in range(3, 22, 2):
+        p = block_cycle(0, n, n).perm
+        assert cyclic_torsion_element(n) == QuotientElement(p, torsion_witness(p))
+    # -1 on the least pair of each pair orbit of the full cycle
+    assert cyclic_torsion_element(5) == QuotientElement(
+        Permutation((5, 1, 2, 3, 4)), PairVector(5, (-1, -1, 0, 0, 0, 0, 0, 0, 0, 0))
+    )
 
 
 def test_finite_orders():

@@ -185,6 +185,8 @@ def test_degenerate_shapes():
     assert snf([[0], [0]]) == ([[0], [0]], [[1, 0], [0, 1]], [[1]])
     assert solve_integer([[0, 0, 0]], [0]) == ([0, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert solve_integer([[0], [0]], [0, 0]) == ([0], [[1]])
+    with pytest.raises(ValueError, match="^right-hand side length does not match$"):
+        solve_integer([[1, 2]], [1, 2])
     assert abelianization([[0, 0, 0]], 3) == (3, [])
 
 
