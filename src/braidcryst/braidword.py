@@ -52,10 +52,11 @@ def pair_index(n: int, i: int, j: int) -> int:
     return (i - 1) * (2 * n - i) // 2 + (j - i) - 1
 
 
-def pair_offsets(n: int) -> list[int]:
+@lru_cache(maxsize=64)
+def pair_offsets(n: int) -> tuple[int, ...]:
     """Row offsets with ``pair_index(n, a, b) == pair_offsets(n)[a] + b`` for
-    ``a < b``; the hot loops index pairs through them."""
-    return [0] + [(a - 1) * (2 * n - a) // 2 - a - 1 for a in range(1, n + 1)]
+    ``a < b``, cached like :func:`pairs`; the hot loops index pairs by them."""
+    return (0,) + tuple((a - 1) * (2 * n - a) // 2 - a - 1 for a in range(1, n + 1))
 
 
 def pair_images(p: Permutation) -> list[int]:

@@ -36,6 +36,7 @@ from .braidword import (
     crossing_counts,
     pair_images,
     pair_offsets,
+    pairs,
     pure_word,
 )
 from .permutation import Permutation, Record, conjugating_permutation
@@ -194,8 +195,15 @@ def inverse(g: QuotientElement) -> QuotientElement:
 
 
 def power(g: QuotientElement, m: int) -> QuotientElement:
+    """``g^m``.  With ``k = order(perm)``, ``g^k`` is pure and pure elements
+    commute, so ``g^m = (g^k)^q * g^r`` for ``q, r = divmod(m, k)``: at most
+    ``O(log k)`` products for any ``m``, each still through :func:`mul`."""
     if m < 0:
         return power(inverse(g), -m)
+    k = g.perm.order()
+    if m > k:
+        q, r = divmod(m, k)
+        return mul(pure(power(g, k).vec.scaled(q)), power(g, r))
     out = QuotientElement.identity(g.n)
     base = g
     while m:
@@ -230,19 +238,20 @@ def basis_orbits(g: QuotientElement) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def _walk_orbits(g: QuotientElement) -> Iterator[tuple[tuple[int, int], ...]]:
     """The orbits of :func:`basis_orbits`, one at a time: a reader that
-    stops early skips the rest of the walk, and only the current orbit's pair
-    tuples are alive, which keeps garbage collections rare at large ``n``."""
-    act, off, n = g.perm.inverse().pair_action, pair_offsets(g.n), g.n
-    seen = [False] * (n * (n - 1) // 2)
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            orbit, q = [], (i, j)
-            while not seen[off[q[0]] + q[1]]:
-                seen[off[q[0]] + q[1]] = True
-                orbit.append(q)
-                q = act(q)
-            if orbit:
-                yield tuple(orbit)
+    stops early skips the rest of the walk, and only the current orbit's
+    tuple is alive, which keeps garbage collections rare at large ``n``.
+    The walk steps through pair positions and builds no pair tuple: each
+    pair is the shared entry of :func:`braidword.pairs`."""
+    basis, act = pairs(g.n), pair_images(g.perm.inverse())
+    seen = bytearray(len(basis))
+    for start in range(len(basis)):
+        orbit, k = [], start
+        while not seen[k]:
+            seen[k] = 1
+            orbit.append(basis[k])
+            k = act[k]
+        if orbit:
+            yield tuple(orbit)
 
 
 def orbit_sums(g: QuotientElement) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:

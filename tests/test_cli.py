@@ -129,6 +129,21 @@ def test_pow(capsys):
     assert json.loads(out)["perm"] == [1, 2, 3]
 
 
+def test_pow_with_a_4000_digit_exponent_is_fast(capsys):
+    # plain square and multiply on all 4001 digits took ~19 s (2-core VM);
+    # reducing the exponent modulo the permutation order 64 bounds it.
+    # (sigma_1 ... sigma_63)^64 is the full twist, 1 on every pair, and 64
+    # divides 10^4000.
+    word = " ".join(map(str, range(1, 64)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--n", "64", "pow", word, str(10**4000))
+    assert time.perf_counter() - start < 5
+    c = 10**4000 // 64
+    assert code == 0
+    pairs = (f"{{{i},{j}}}:{c}" for i in range(1, 65) for j in range(i + 1, 65))
+    assert out == "() | " + ", ".join(pairs)
+
+
 def test_alpha_and_orbits(capsys):
     code, out, _ = run(capsys, "--n", "7", "--json", "alpha", "--k", "3")
     assert code == 0

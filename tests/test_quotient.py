@@ -13,6 +13,8 @@ from braidcryst.braidword import (
     full_twist_word,
     linking_vector,
     pair_images,
+    pair_index,
+    pair_offsets,
     pairs,
 )
 from braidcryst.permutation import Permutation
@@ -185,6 +187,46 @@ def test_power():
             assert g**3 == power(g, 3)
 
 
+def binary_power(g, m):
+    """Square and multiply on the full exponent: the reference for ``power``,
+    which reduces ``m`` modulo the permutation order first."""
+    if m < 0:
+        return binary_power(inverse(g), -m)
+    out, base = QuotientElement.identity(g.n), g
+    while m:
+        if m & 1:
+            out = mul(out, base)
+        m >>= 1
+        if m:
+            base = mul(base, base)
+    return out
+
+
+def test_power_matches_binary_powering_across_three_periods():
+    finite = infinite = 0
+    for g in formula_elements():
+        if g.n > 8:
+            continue
+        k = g.perm.order()
+        for m in range(-3 * k, 3 * k + 1):
+            assert power(g, m) == binary_power(g, m)
+        is_finite = element_order(g) is not INFINITE
+        finite += is_finite
+        infinite += not is_finite
+    assert finite > 20 and infinite > 20
+
+
+def test_power_with_a_4000_digit_exponent_is_one_more_factor():
+    rng = random.Random(40)
+    images = list(range(1, 65))
+    rng.shuffle(images)
+    vec = PairVector(64, [rng.randint(-3, 3) for _ in range(64 * 63 // 2)])
+    for g in (normalize(BraidWord(64, tuple(range(1, 64)))),
+              QuotientElement(Permutation(tuple(images)), vec)):
+        for m in (10**4000 - 1, 10**4000 + 1):
+            assert power(g, m) == mul(power(g, m - 1), g)
+
+
 def test_pure_embedding_is_a_homomorphism():
     rng = random.Random(4)
     n = 5
@@ -327,6 +369,56 @@ def test_basis_orbits_partition():
                 assert orbit[0] == min(orbit)
                 for t, P in enumerate(orbit):
                     assert g.perm.inverse().pair_action(P) == orbit[(t + 1) % len(orbit)]
+
+
+def pair_action_walk(g):
+    """Orbits walked by ``Permutation.pair_action`` on fresh pair tuples:
+    the reference for the index walk behind ``basis_orbits``."""
+    act, off, n = g.perm.inverse().pair_action, pair_offsets(g.n), g.n
+    seen = [False] * (n * (n - 1) // 2)
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            orbit, q = [], (i, j)
+            while not seen[off[q[0]] + q[1]]:
+                seen[off[q[0]] + q[1]] = True
+                orbit.append(q)
+                q = act(q)
+            if orbit:
+                yield tuple(orbit)
+
+
+def walk_elements():
+    """All of S_n for n <= 6 with a zero and a seeded vector, then 30
+    seeded elements at each of n = 16, 33, 64."""
+    rng = random.Random(19)
+    vector = lambda n: PairVector(n, [rng.randint(-3, 3) for _ in range(n * (n - 1) // 2)])
+    for n in range(2, 7):
+        for p in map(Permutation, itertools.permutations(range(1, n + 1))):
+            yield QuotientElement(p, PairVector.zero(n))
+            yield QuotientElement(p, vector(n))
+    for n in (16, 33, 64):
+        for t in range(30):
+            if t % 3:
+                images = list(range(1, n + 1))
+                rng.shuffle(images)
+                yield QuotientElement(Permutation(tuple(images)), vector(n))
+            else:  # few strands crossed, so many fixed pairs and short orbits
+                yield normalize(random_word(n, rng, max_len=n))
+
+
+def test_index_walk_matches_the_pair_action_walk():
+    for g in walk_elements():
+        basis, v, p = pairs(g.n), g.vec, g.perm
+        expect = tuple(pair_action_walk(g))
+        orbits = basis_orbits(g)
+        assert orbits == expect
+        sums = list(orbit_sums(g))
+        assert sums == [
+            (orbit, sum(2 * v.coefficient(i, j) + (p(i) > p(j)) for i, j in orbit))
+            for orbit in expect
+        ]
+        for orbit in orbits + tuple(orbit for orbit, _ in sums):
+            assert all(P is basis[pair_index(g.n, *P)] for P in orbit)
 
 
 def orbit_roots(n, perms):
