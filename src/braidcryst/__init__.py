@@ -20,8 +20,7 @@ EXPORTS = {
     "quotient": (
         "INFINITE", "QuotientElement", "basis_element", "basis_orbits",
         "canonical_lift", "conjugate", "element_order", "embed", "inverse", "mul",
-        "normalize", "orbit_sums", "power", "pure", "pure_conjugator",
-        "subgroup_conjugator", "to_word"
+        "normalize", "orbit_sums", "power", "pure", "subgroup_conjugator", "to_word"
     ),
     "torsion": (
         "BlockSpec", "abelian_realization", "block_cycle", "block_cycle_word",

@@ -163,12 +163,12 @@ def _cmd_alpha(args) -> None:
 
 
 def _cmd_orbits(args) -> None:
+    if (args.element is None) == (args.blocks is None):
+        raise UsageError("orbits needs an element or --blocks, not both")
     if args.blocks is not None:
         table = bc.closed_form_orbits(bc.BlockSpec.from_text(_need_n(args), args.blocks))
-    elif args.element is not None:
-        table = bc.enumerate_orbits(_element(args, args.element))
     else:
-        raise UsageError("orbits needs an element or --blocks")
+        table = bc.enumerate_orbits(_element(args, args.element))
     _emit(args, table.to_json(), _orbit_text(table))
 
 

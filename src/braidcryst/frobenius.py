@@ -7,9 +7,9 @@ when ``v = A^N y`` satisfies ``x v x^-1 = v^2`` and ``v^7 = 1``.  F21 acts
 freely on the 21 pairs, so ``H^1(F21, Z^21) = 0``: the repaired pairs are
 the conjugates ``A^theta (x, v0) A^-theta`` with theta constant on the 7
 orbits of x, and the N form an affine family of rank 7 - 1 = 6.  All the
-subgroups ``<x, A^N y>`` form one conjugacy class, the pure conjugator is
-what :func:`quotient.pure_conjugator` finds, and
-``standardize_frobenius`` carries any F21 pair onto ``(x, v0)`` with
+subgroups ``<x, A^N y>`` form one conjugacy class: both the pure conjugator
+of ``conjugator_between`` and the conjugator of ``standardize_frobenius``,
+which carries any F21 pair onto ``(x, v0)``, are
 :func:`quotient.subgroup_conjugator`.
 
 Everything here is specific to n = 7; use ``quotient.embed`` to place the
@@ -30,7 +30,6 @@ from .quotient import (
     normalize,
     power,
     pure,
-    pure_conjugator,
     subgroup_conjugator,
 )
 
@@ -244,15 +243,17 @@ def conjugator_between(N: PairVector) -> PairVector:
     """A lattice vector theta with ``A^theta (x, v0) A^-theta = (x, A^N y)``.
 
     N must lie in the repair family (``NotASolution`` otherwise).  theta is
-    :func:`quotient.pure_conjugator` of the two pairs, checked in the engine;
-    F21 has one orbit on the pairs, so theta is zero at (1, 2).
+    the vector of :func:`quotient.subgroup_conjugator` between the two pairs,
+    checked in the engine: they share their permutations, so the conjugator
+    lifts the identity.  F21 has one orbit on the pairs, so theta is zero at
+    (1, 2).
     """
     recover_parameters(N)
     x, v0 = reference_pair()
-    theta = pure_conjugator((x, v0), (x, mul(pure(N), build_xy()[1])))
-    if theta is None:
+    c = subgroup_conjugator((x, v0), (x, mul(pure(N), build_xy()[1])))
+    if c is None:
         raise VerificationError("no lattice vector carries (x, v0) onto (x, A^N y)")
-    return theta
+    return c.vec
 
 
 class StandardizationResult(Record):

@@ -44,6 +44,10 @@ from .permutation import Permutation, Record, conjugating_permutation
 #: Returned by :func:`element_order` for elements of infinite order.
 INFINITE = math.inf
 
+#: Most bits :func:`power` lets the coefficients of its result take in all
+#: (128 MB of integers); a larger power is refused with a ``ValueError``.
+POWER_BIT_LIMIT = 2**30
+
 
 def canonical_lift(p: Permutation) -> BraidWord:
     """Positive bubble-sort lift of ``p``: scan positions left to right and
@@ -197,12 +201,19 @@ def inverse(g: QuotientElement) -> QuotientElement:
 def power(g: QuotientElement, m: int) -> QuotientElement:
     """``g^m``.  With ``k = order(perm)``, ``g^k`` is pure and pure elements
     commute, so ``g^m = (g^k)^q * g^r`` for ``q, r = divmod(m, k)``: at most
-    ``O(log k)`` products for any ``m``, each still through :func:`mul`."""
+    ``O(log k)`` products for any ``m``, each still through :func:`mul`.
+    The nonzero coefficients of ``g^k`` are the pairs of the orbits with a
+    nonzero :func:`orbit_sums` sum, so a ``(g^k)^q`` whose coefficients would
+    take more than ``POWER_BIT_LIMIT`` bits is refused before any product."""
     if m < 0:
         return power(inverse(g), -m)
     k = g.perm.order()
     if m > k:
         q, r = divmod(m, k)
+        moved = sum(len(orbit) for orbit, s in orbit_sums(g) if s)
+        if moved * q.bit_length() > POWER_BIT_LIMIT:
+            raise ValueError(f"the power has {moved} nonzero coefficients of about {q.bit_length()} "
+                             f"bits, past the {POWER_BIT_LIMIT}-bit limit; refusing")
         return mul(pure(power(g, k).vec.scaled(q)), power(g, r))
     out = QuotientElement.identity(g.n)
     base = g
@@ -274,7 +285,7 @@ def orbit_sums(g: QuotientElement) -> Iterator[tuple[tuple[tuple[int, int], ...]
         yield orbit, sum(2 * v[off[i] + j] + (images[i - 1] > images[j - 1]) for i, j in orbit)
 
 
-def pure_conjugator(
+def _theta_walk(
     sources: Sequence[QuotientElement], targets: Sequence[QuotientElement]
 ) -> PairVector | None:
     """A vector ``theta`` with ``A^theta s A^-theta == t`` for each source
@@ -283,24 +294,12 @@ def pure_conjugator(
     Conjugating by ``A^theta`` adds ``theta[P] - theta[perm(s)(P)]`` to each
     coefficient, so ``theta`` is walked breadth first over each orbit of the
     source permutations on pairs, from 0 at the orbit's least pair; a pair
-    reached twice with different values admits no solution.  The answer is
-    checked in the engine: ``VerificationError`` unless every conjugation
-    holds.
-
-    >>> g = QuotientElement(Permutation.from_text(3, "(1,2,3)"), PairVector.zero(3))
-    >>> h = conjugate(g, basis_element(3, 1, 3))
-    >>> str(pure_conjugator((g,), (h,)))
-    '{1,3}:1'
+    reached twice with different values admits no solution.
     """
-    if not sources or len(sources) != len(targets):
-        raise ValueError("need one target for each of at least one source")
-    n = sources[0].n
-    if any(g.n != n for g in (*sources, *targets)):
-        raise ValueError("degree mismatch")
     if any(s.perm != t.perm for s, t in zip(sources, targets)):
         return None
     moves = [(pair_images(s.perm), (t.vec - s.vec).tolist()) for s, t in zip(sources, targets)]
-    theta: list = [None] * (n * (n - 1) // 2)
+    theta: list = [None] * len(moves[0][1])
     for start in range(len(theta)):
         if theta[start] is not None:
             continue
@@ -313,10 +312,7 @@ def pure_conjugator(
                     queue.append(r)
                 elif theta[r] != value:
                     return None
-    vec = PairVector(n, theta)
-    if any(conjugate(s, pure(vec)) != t for s, t in zip(sources, targets)):
-        raise VerificationError("pure conjugator does not carry the sources onto the targets")
-    return vec
+    return PairVector(sources[0].n, theta)
 
 
 def subgroup_conjugator(
@@ -325,16 +321,18 @@ def subgroup_conjugator(
     """An element ``c`` with ``c s c^-1 == t`` for each source ``s`` and its
     target ``t``, or ``None`` when none was found.
 
-    ``c`` is the lift, with zero vector, of the least permutation
-    :func:`permutation.conjugating_permutation` finds for the permutations,
-    followed by the lattice vector :func:`pure_conjugator` finds from the
-    conjugated sources to the targets.  Every conjugation is checked in the
-    engine (``VerificationError`` otherwise).  ``None`` proves the tuples
-    are not conjugate only when the sources generate a finite group: then
-    ``H^1(H, Z^N) = 0`` lets any conjugating permutation be completed, while
-    for an infinite group another permutation might succeed.
+    ``c`` is ``A^theta rho``: ``rho`` is the lift, with zero vector, of the
+    least permutation :func:`permutation.conjugating_permutation` finds for
+    the permutations, and ``theta`` comes from a breadth-first walk over the
+    pair orbits of the conjugated sources.  ``c`` is checked in the engine
+    (``VerificationError`` unless every conjugation holds).  ``None`` proves
+    the tuples are not conjugate only when the sources generate a finite
+    group: then ``H^1(H, Z^N) = 0`` lets any conjugating permutation be
+    completed, while for an infinite group another permutation might succeed.
 
     >>> g = QuotientElement(Permutation.from_text(3, "(1,2,3)"), PairVector.zero(3))
+    >>> str(subgroup_conjugator((g,), (conjugate(g, basis_element(3, 1, 3)),)))
+    '() | {1,3}:1'
     >>> h = conjugate(g, normalize(BraidWord.from_text(3, "1")))
     >>> c = subgroup_conjugator((g,), (h,))
     >>> str(c), conjugate(g, c) == h
@@ -344,7 +342,7 @@ def subgroup_conjugator(
     if s is None:
         return None
     rho = QuotientElement(s, PairVector.zero(s.n))
-    theta = pure_conjugator([conjugate(g, rho) for g in sources], targets)
+    theta = _theta_walk([conjugate(g, rho) for g in sources], targets)
     if theta is None:
         return None
     c = mul(pure(theta), rho)

@@ -144,6 +144,26 @@ def test_pow_with_a_4000_digit_exponent_is_fast(capsys):
     assert out == "() | " + ", ".join(pairs)
 
 
+def test_pow_past_the_bit_limit_is_refused_quickly():
+    # every one of the 499500 pair coefficients of the power would carry
+    # about 13300 bits (about 0.9 GB in all); refused before any product
+    word = " ".join(map(str, range(1, 1000)))
+    start = time.perf_counter()
+    code, out, err = _call("--n", "1000", "pow", word, str(10**4000))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert len(err) == 1 and err[0].startswith("error: the power has 499500 nonzero coefficients"), err
+
+
+def test_pow_of_a_finite_order_element_with_a_4000_digit_exponent_is_not_refused(capsys):
+    # every orbit sum of a torsion element is 0, so its powers stay small:
+    # g^m = g^(m mod 63) for the 63-cycle block element
+    _, word, _ = run(capsys, "--n", "64", "delta", "--blocks", "63", "--emit-word")
+    code, out, _ = run(capsys, "--n", "64", "pow", word, str(10**4000))
+    assert code == 0
+    assert out == run(capsys, "--n", "64", "pow", word, str(10**4000 % 63))[1]
+
+
 def test_alpha_and_orbits(capsys):
     code, out, _ = run(capsys, "--n", "7", "--json", "alpha", "--k", "3")
     assert code == 0
@@ -681,9 +701,11 @@ def test_strand_count_below_two_is_a_usage_error():
          "braidcryst frobenius conjugator: error: the following arguments are required: --r"),
         (["--n", "3", "nf", "1", "a\nb"], "braidcryst: error: unrecognized arguments: a b"),
         (["--json", "count-classes", "--k", "3"], "braidcryst: error: --n is required for this command"),
+        (["--n", "3", "orbits", "1 2", "--blocks", "3"],
+         "braidcryst: error: orbits needs an element or --blocks, not both"),
     ],
     ids=["invalid-verb", "missing-positional", "bad-n", "conjugator-without-r", "newline",
-         "count-classes-without-n"],
+         "count-classes-without-n", "orbits-with-element-and-blocks"],
 )
 def test_usage_error_is_one_line(argv, line):
     code, out, err = _call(*argv)

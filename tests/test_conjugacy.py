@@ -219,8 +219,8 @@ def test_conjugacy_checks_raise_when_planted_false(monkeypatch):
     plants = [
         ("conjugating_permutation", lambda a, b: None, "no conjugator"),
         ("conjugating_permutation", lambda a, b: Permutation.from_text(5, "(1,4)"), "no conjugator"),
-        ("pure_conjugator", lambda sources, targets: None, "no conjugator"),
-        ("pure_conjugator", lambda sources, targets: PairVector.basis(5, 1, 2),
+        ("_theta_walk", lambda sources, targets: None, "no conjugator"),
+        ("_theta_walk", lambda sources, targets: PairVector.basis(5, 1, 2),
          "does not carry the sources"),
     ]
     for name, plant, message in plants:

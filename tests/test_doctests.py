@@ -3,6 +3,8 @@
 import ast
 import doctest
 import importlib
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,22 @@ def test_module_has_no_unused_import(module):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def test_package_has_no_unused_private_definition():
+    # a fold or a deletion must not leave a private helper behind: each
+    # private function, method or class is named again somewhere in the
+    # package source, beyond its own definitions
+    sources = [path.read_text() for path in sorted(Path(braidcryst.__file__).parent.glob("*.py"))]
+    defined = Counter(
+        node.name
+        for text in sources
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    )
+    unused = [
+        name for name, count in sorted(defined.items())
+        if sum(len(re.findall(rf"\b{name}\b", text)) for text in sources) <= count
+    ]
+    assert unused == []

@@ -370,8 +370,8 @@ def test_standardization_checks_raise_when_planted_false(monkeypatch):
     plants = [
         (quotient, "conjugating_permutation", lambda a, b: None, "no conjugator"),
         (quotient, "conjugating_permutation", lambda a, b: BETA, "no conjugator"),
-        (quotient, "pure_conjugator", lambda sources, targets: None, "no conjugator"),
-        (quotient, "pure_conjugator", lambda sources, targets: PairVector.basis(7, 1, 2),
+        (quotient, "_theta_walk", lambda sources, targets: None, "no conjugator"),
+        (quotient, "_theta_walk", lambda sources, targets: PairVector.basis(7, 1, 2),
          "does not carry the sources"),
         (f, "reference_group", lambda: frozenset([w.x, w.v]), "image subgroup"),
     ]
@@ -459,6 +459,54 @@ def test_standardize_lists_no_group_per_call(monkeypatch):
         assert standardize_frobenius(g3, g7) == want
         assert calls["mul"] <= 20
     assert calls["closure"] == 0
+
+
+def test_each_conjugation_is_checked_once(monkeypatch):
+    # subgroup_conjugator checks its final conjugator and nothing before it:
+    # standardize_frobenius pays 4 mul and 1 inverse for the relation check,
+    # 4 and 2 to conjugate by the permutation lift, 1 to compose and 4 and 2
+    # to check; are_conjugate pays 2 and 1, 1, and 2 and 1
+    import braidcryst.frobenius as f
+    import braidcryst.quotient as quotient
+    from braidcryst.conjugacy import are_conjugate
+
+    rng = random.Random(71)
+    x0, v0 = reference_pair()
+    y = build_xy()[1]
+    letters = [k for k in range(-6, 7) if k]
+    pairs7, finite = [], []
+    for _ in range(10):
+        word = BraidWord(7, tuple(rng.choice(letters) for _ in range(rng.randint(0, 10))))
+        c = mul(normalize(word), pure(PairVector(7, tuple(rng.randint(-2, 2) for _ in pairs(7)))))
+        vr = mul(pure(family_member(tuple(rng.randint(-3, 3) for _ in range(6)))), y)
+        pairs7.append((conjugate(x0, c), conjugate(power(vr, rng.randint(1, 6)), c)))
+        delta = torsion_element(BlockSpec(7, rng.choice([(3,), (5,), (7,), (3, 3)])))
+        g, h = conjugate(delta, c), conjugate(delta, mul(c, c))
+        if g != h:
+            finite.append((g, h))
+    assert len(finite) >= 8
+    reference_group()  # warm up: the reference constants exist
+
+    calls = {"mul": 0, "inverse": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    counted_mul = spy("mul", quotient.mul)
+    monkeypatch.setattr(quotient, "mul", counted_mul)
+    monkeypatch.setattr(f, "mul", counted_mul)
+    monkeypatch.setattr(quotient, "inverse", spy("inverse", quotient.inverse))
+    for g3, g7 in pairs7:
+        calls.update(mul=0, inverse=0)
+        standardize_frobenius(g3, g7)
+        assert calls["mul"] <= 13 and calls["inverse"] <= 5, calls
+    for g, h in finite:
+        calls.update(mul=0, inverse=0)
+        assert are_conjugate(g, h)[0] is True
+        assert calls["mul"] <= 5 and calls["inverse"] <= 2, calls
 
 
 def test_each_centralizer_branch_is_reachable_deterministically():
