@@ -24,9 +24,9 @@ EXPORTS = {
     ),
     "torsion": (
         "BlockSpec", "abelian_realization", "block_cycle", "block_cycle_word",
-        "cyclic_torsion_element", "finite_orders", "is_torsion_offset",
-        "iter_block_specs", "torsion_block", "torsion_block_word", "torsion_element",
-        "torsion_element_word", "torsion_witness"
+        "cyclic_torsion_element", "finite_orders", "iter_block_specs",
+        "torsion_block", "torsion_block_word", "torsion_element", "torsion_element_word",
+        "torsion_witness"
     ),
     "conjugacy": (
         "InfiniteOrderError", "are_conjugate", "conjugator_to_standard",
@@ -36,8 +36,7 @@ EXPORTS = {
         "OrbitTable", "closed_form_orbits", "enumerate_orbits", "relabeled_basis"
     ),
     "zlinalg": (
-        "abelianization", "hnf", "lattice_contains", "lattices_equal", "snf",
-        "solve_integer"
+        "abelianization", "hnf", "lattice_contains", "snf", "solve_integer"
     ),
     "subgroups": (
         "HolonomySubgroup", "holonomy_det", "holonomy_matrix", "is_bieberbach",

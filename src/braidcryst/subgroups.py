@@ -7,9 +7,9 @@ the pair representation.  A preimage (or a finite-index subgroup of one given
 by a sublattice and coset data) is Bieberbach exactly when it is torsion
 free, and torsion is decidable: through ``torsion_witness`` for full
 preimages, and through an orbit-sum linear system for sublattice data.
-:func:`preimage_abelianization` presents a preimage on the pair lattice and
-lifts of the generators of ``H``, with relators read off the Cayley graph of
-``H`` and evaluated in the group law, and abelianizes it; the three-strand
+:func:`preimage_abelianization` abelianizes a preimage from permutation
+products and orbit sums alone, on one column per ``H``-orbit of pairs and
+one per generator, checking the parity of each relator row; the three-strand
 catalog reports it for each subgroup of S_3.
 
 ``torsion`` and ``zlinalg`` are imported by the functions that use them, so
@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .braidword import BraidWord, PairVector, VerificationError, pair_images, pair_index, pairs
 from .permutation import CLOSURE_LIMIT, Permutation, Record, StabilizerChain, closure
-from .quotient import QuotientElement, inverse, mul, normalize, orbit_sums, power
+from .quotient import QuotientElement, normalize, orbit_sums, power
 
 
 HOLONOMY_MATRIX_LIMIT = 2**24
@@ -192,59 +192,69 @@ def preimage_abelianization(H: HolonomySubgroup) -> tuple[int, list[int]]:
     """``H_1`` of the preimage ``G`` of ``H``, as ``(free_rank, factors)``
     from :func:`zlinalg.abelianization`.
 
-    ``G`` is presented on the ``N`` pair-lattice generators ``A_P`` followed
-    by the zero-vector lift ``t_s`` of each generator ``s`` of ``H``.  The
-    relators are the lattice commutators (zero rows once abelianized),
-    ``t_s A_Q t_s^-1 = A_P`` for each pair ``P`` that ``s`` moves to ``Q``
-    (rows ``e_P - e_Q``), and one relator per edge off a breadth-first
-    spanning tree of the Cayley graph of ``H``: with ``w(h)`` the product of
-    lifts along the tree path to ``h``, ``w(h) t_s w(hs)^-1`` is a lattice
-    element ``A^v``, evaluated with :func:`mul`, and its row is the
-    lift-exponent difference minus ``v``.  The off-tree edges present ``H``
-    (Schreier), so these relators present ``G``.  Each ``A^v`` is checked
-    pure in the engine (``VerificationError`` otherwise).  A group of more
-    than ``CLOSURE_LIMIT`` elements is refused with ``ValueError`` before
-    the walk.
+    With ``pi`` summing each ``H``-orbit of pairs and ``f`` the inversion
+    indicator of :func:`quotient.orbit_sums`, ``(h, v) -> (h, 2 pi(v) +
+    pi(f(h)))`` maps ``G`` into ``H x Z^orbits`` with kernel the commutators
+    ``A^(e_P - e_hP) = [A_P, t_h]``.  So ``G`` abelianizes like the image: on
+    columns ``a_O = (1, 2 e_O)`` per orbit ``O`` and the zero-vector lift
+    ``t_s = (s, Phi[s])`` per generator ``s``, ``Phi[s]`` summed from the
+    orbit sums of ``t_s``.  The ``a_O`` are central; each edge off a
+    breadth-first tree of the Cayley graph of ``H``, walked by permutation
+    products, with lift-exponent difference ``d`` gives ``t^d = a^(d.Phi/2)``,
+    the row ``(-d.Phi/2, d)``, and these present ``H`` (Schreier).  An odd
+    ``d.Phi`` raises ``VerificationError``.  The free rank is the number of
+    orbits.  A group past ``CLOSURE_LIMIT`` is refused before the walk.
     """
     from .zlinalg import abelianization
 
     H._check_listable()
     n, gens = H.n, H.generators
-    N, k = n * (n - 1) // 2, len(gens)
+    moves = [pair_images(s) for s in gens]
+    label: list = [None] * (n * (n - 1) // 2)
+    orbits = 0
+    for start in range(len(label)):
+        if label[start] is None:
+            label[start], queue = orbits, [start]
+            for P in queue:
+                for images in moves:
+                    if label[images[P]] is None:
+                        label[images[P]] = orbits
+                        queue.append(images[P])
+            orbits += 1
+    Phi = [[0] * orbits for _ in gens]
+    for row, s in zip(Phi, gens):
+        for orbit, total in orbit_sums(QuotientElement(s, PairVector.zero(n))):
+            i, j = orbit[0]
+            row[label[pair_index(n, i, j)]] += total
     # a set: the Cayley graph repeats most relator rows, and the
     # elimination is cheaper without the copies
-    rows = {
-        tuple((c == P) - (c == Q) for c in range(N + k))
-        for s in gens for P, Q in enumerate(pair_images(s)) if P != Q
-    }
-    lifts = [QuotientElement(s, PairVector.zero(n)) for s in gens]
-    queue = [(QuotientElement.identity(n), [0] * k)]
-    tree = {queue[0][0].perm: queue[0]}
-    for w, exps in queue:
-        for index, t in enumerate(lifts):
-            ws = mul(w, t)
-            ws_exps = exps.copy()
-            ws_exps[index] += 1
-            if ws.perm not in tree:
-                tree[ws.perm] = ws, ws_exps
-                queue.append(tree[ws.perm])
+    rows = set()
+    queue = [Permutation.identity(n)]
+    tree = {queue[0]: [0] * len(gens)}
+    for h in queue:
+        for index, s in enumerate(gens):
+            hs, exps = h * s, tree[h].copy()
+            exps[index] += 1
+            if hs not in tree:
+                tree[hs] = exps
+                queue.append(hs)
                 continue
-            w_hs, hs_exps = tree[ws.perm]
-            relator = mul(ws, inverse(w_hs))
-            if not relator.is_pure():
-                raise VerificationError("a Cayley-graph relator of the preimage is not pure")
-            rows.add((*(-c for c in relator.vec.coeffs), *(a - b for a, b in zip(ws_exps, hs_exps))))
-    return abelianization(sorted(rows), N + k)
+            d = [a - b for a, b in zip(exps, tree[hs])]
+            value = [sum(c * row[O] for c, row in zip(d, Phi)) for O in range(orbits)]
+            if any(x % 2 for x in value):
+                raise VerificationError("a Cayley-graph relator of the preimage has an odd orbit sum")
+            rows.add((*(-x // 2 for x in value), *d))
+    return abelianization(sorted(rows), orbits + len(gens))
 
 
 def three_strand_catalog() -> dict:
     """Soundness report for the catalog of preimages over three strands.
 
     For each subgroup of S_3 (up to conjugacy): the abelianization of its
-    preimage by :func:`preimage_abelianization`, whose relators are all
-    checked in the engine (it raises otherwise, so ``relators_verified`` is
-    always true), the holonomy matrices of its generators with determinant
-    spectrum, and the Bieberbach verdict.  Two designated finite-index
+    preimage by :func:`preimage_abelianization`, which checks the parity of
+    every relator row in the engine (it raises otherwise, so
+    ``relators_verified`` is always true), the holonomy matrices of its
+    generators with determinant spectrum, and the Bieberbach verdict.  Two designated finite-index
     subgroups of the three-cycle preimage are also decided: index-three
     lattice scaling makes a torsion-free (Bieberbach) group, index-two
     scaling does not.

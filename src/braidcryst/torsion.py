@@ -22,16 +22,7 @@ from functools import lru_cache
 
 from .braidword import BraidWord, PairVector, VerificationError
 from .permutation import Permutation, Record, parse_int
-from .quotient import (
-    INFINITE,
-    QuotientElement,
-    element_order,
-    mul,
-    normalize,
-    orbit_sums,
-    power,
-    pure,
-)
+from .quotient import QuotientElement, mul, normalize, orbit_sums, power, pure
 
 #: Most block torsion elements :func:`torsion_element` keeps; every BlockSpec
 #: with n <= 16 (152 of them) fits.
@@ -131,11 +122,6 @@ def abelian_realization(spec: BlockSpec) -> list[QuotientElement]:
     return [
         torsion_block(r, k, spec.n) for r, k in zip(spec.offsets(), spec.blocks)
     ]
-
-
-def is_torsion_offset(spec: BlockSpec, vec: PairVector) -> bool:
-    """Does ``A^vec * torsion_element(spec)`` still have the full order?"""
-    return element_order(mul(pure(vec), torsion_element(spec))) is not INFINITE
 
 
 def cyclic_torsion_element(n: int) -> QuotientElement:

@@ -272,10 +272,6 @@ def lattice_contains(rows: MatrixLike, v: Sequence[int]) -> bool:
     return _reduce(row_lattice_hnf(M), v) is not None
 
 
-def lattices_equal(rows_a: MatrixLike, rows_b: MatrixLike) -> bool:
-    return row_lattice_hnf(rows_a) == row_lattice_hnf(rows_b)
-
-
 def abelianization(relations: MatrixLike, generators: int) -> tuple[int, list[int]]:
     """Invariants of the abelian group ``Z^generators / row-span(relations)``.
 

@@ -2,13 +2,18 @@
 
 ``listing_is_bieberbach`` is the Bieberbach decision by listing: it runs
 ``torsion_witness`` on every non-identity element of the group, which the
-engine replaced by a test on the group order.  ``generator_sets`` draws
-seeded generator sets whose groups are small enough to list.
+engine replaced by a test on the group order.  ``mul_walk_abelianization``
+is ``H_1`` of a preimage by the group law, which the engine replaced by
+orbit sums and permutation products.  ``generator_sets`` draws seeded
+generator sets whose groups are small enough to list.
 """
 
 import random
 
+from braidcryst import zlinalg
+from braidcryst.braidword import PairVector, VerificationError, pair_images
 from braidcryst.permutation import Permutation
+from braidcryst.quotient import QuotientElement, inverse, mul
 from braidcryst.subgroups import HolonomySubgroup
 from braidcryst.torsion import torsion_witness
 
@@ -21,6 +26,47 @@ def listing_is_bieberbach(H: HolonomySubgroup) -> bool:
         if torsion_witness(p) is not None:
             return False
     return True
+
+
+def mul_walk_abelianization(H: HolonomySubgroup) -> tuple[int, list[int]]:
+    """``H_1`` of the preimage ``G`` of ``H``, as ``(free_rank, factors)``.
+
+    ``G`` is presented on the ``N`` pair-lattice generators ``A_P`` followed
+    by the zero-vector lift ``t_s`` of each generator ``s`` of ``H``.  The
+    relators are the lattice commutators (zero rows once abelianized),
+    ``t_s A_Q t_s^-1 = A_P`` for each pair ``P`` that ``s`` moves to ``Q``
+    (rows ``e_P - e_Q``), and one relator per edge off a breadth-first
+    spanning tree of the Cayley graph of ``H``: with ``w(h)`` the product of
+    lifts along the tree path to ``h``, ``w(h) t_s w(hs)^-1`` is a lattice
+    element ``A^v``, evaluated with ``mul``, and its row is the
+    lift-exponent difference minus ``v``.  The off-tree edges present ``H``
+    (Schreier), so these relators present ``G``.
+    """
+    H._check_listable()
+    n, gens = H.n, H.generators
+    N, k = n * (n - 1) // 2, len(gens)
+    rows = {
+        tuple((c == P) - (c == Q) for c in range(N + k))
+        for s in gens for P, Q in enumerate(pair_images(s)) if P != Q
+    }
+    lifts = [QuotientElement(s, PairVector.zero(n)) for s in gens]
+    queue = [(QuotientElement.identity(n), [0] * k)]
+    tree = {queue[0][0].perm: queue[0]}
+    for w, exps in queue:
+        for index, t in enumerate(lifts):
+            ws = mul(w, t)
+            ws_exps = exps.copy()
+            ws_exps[index] += 1
+            if ws.perm not in tree:
+                tree[ws.perm] = ws, ws_exps
+                queue.append(tree[ws.perm])
+                continue
+            w_hs, hs_exps = tree[ws.perm]
+            relator = mul(ws, inverse(w_hs))
+            if not relator.is_pure():
+                raise VerificationError("a Cayley-graph relator of the preimage is not pure")
+            rows.add((*(-c for c in relator.vec.coeffs), *(a - b for a, b in zip(ws_exps, hs_exps))))
+    return zlinalg.abelianization(sorted(rows), N + k)
 
 
 def generator_sets(seed, count, max_n=9):

@@ -77,3 +77,51 @@ def test_package_has_no_unused_private_definition():
         if sum(len(re.findall(rf"\b{name}\b", text)) for text in sources) <= count
     ]
     assert unused == []
+
+
+# public names that nothing in the package or the benchmark calls, kept
+# because each reproduces a statement of the paper that a test checks
+PAPER_ONLY_EXPORTS = {
+    # the full twist generates the center of B_n and is pure: its image in
+    # B_n/[P_n,P_n] is the all-ones pair vector
+    "full_twist_word",
+    # for odd n the quotient has an element of order n over the full cycle:
+    # the quotient has torsion
+    "cyclic_torsion_element",
+    # the finite orders are the odd orders of elements of S_n, from the
+    # correspondence of finite-order classes with odd-order classes of S_n
+    "finite_orders",
+}
+
+
+def _top_level_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def test_every_export_has_a_caller_or_reproduces_the_paper():
+    # a public name must appear in the package or the benchmark beyond its
+    # own definition, or be one of the paper's statements above
+    root = Path(braidcryst.__file__).parent
+    paths = [path for path in sorted(root.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted((root.parents[1] / "bench").glob("*.py"))
+    texts = {path: path.read_text() for path in paths}
+    unused = []
+    for module, names in braidcryst.EXPORTS.items():
+        home = root / f"{module}.py"
+        lines = texts[home].splitlines()
+        spans = {
+            name: (node.lineno - 1, node.end_lineno)
+            for node in ast.parse(texts[home]).body for name in _top_level_names(node)
+        }
+        for name in names:
+            start, end = spans[name]
+            rest = "\n".join(lines[:start] + lines[end:])
+            others = [text for path, text in texts.items() if path != home]
+            if not any(re.search(rf"\b{name}\b", text) for text in [rest, *others]):
+                unused.append(name)
+    assert sorted(set(unused) - PAPER_ONLY_EXPORTS) == []
+    # an allow-list entry that gains a caller leaves the list
+    assert sorted(PAPER_ONLY_EXPORTS - set(unused)) == []

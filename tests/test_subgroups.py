@@ -28,7 +28,7 @@ from braidcryst.subgroups import (
     three_strand_catalog,
     torsion_certificate,
 )
-from holonomy_oracle import generator_sets, listing_is_bieberbach
+from holonomy_oracle import generator_sets, listing_is_bieberbach, mul_walk_abelianization
 from test_cli import run_capped
 from test_zlinalg import run_python
 
@@ -294,13 +294,29 @@ def test_preimage_of_the_symmetric_group_abelianizes_like_the_braid_group():
         assert preimage_abelianization(H) == (1, [])
 
 
+def pair_orbit_count(H):
+    return len({frozenset(h.pair_action(P) for h in H.elements) for P in pairs(H.n)})
+
+
 def test_preimage_abelianization_of_f21_and_a_wreath_product():
-    f21 = HolonomySubgroup.from_cycle_texts(7, ["(1,2,3,4,5,6,7)", "(2,3,5)(4,7,6)"])
-    assert f21.order == 21
-    assert preimage_abelianization(f21) == (1, [3])
-    wreath = HolonomySubgroup.from_cycle_texts(9, ["(1,2,3)", "(1,4,7)(2,5,8)(3,6,9)"])
-    assert wreath.order == 81
-    assert preimage_abelianization(wreath) == (2, [3, 3])
+    f21 = ["(1,2,3,4,5,6,7)", "(2,3,5)(4,7,6)"]
+    cases = [
+        (7, f21, 21, (1, [3])),
+        (9, ["(1,2,3)", "(1,4,7)(2,5,8)(3,6,9)"], 81, (2, [3, 3])),  # C3 wr C3
+        (6, ["(1,2)", "(3,4)", "(5,6)"], 8, (6, [])),  # C2^3
+        (8, ["(1,2,4,7)(3,6,8,5)", "(1,3,4,8)(2,5,7,6)"], 8, (4, [2, 2])),  # regular Q8
+        (8, ["(1,2,3,4)", "(1,3)", "(1,5)(2,6)(3,7)(4,8)"], 128, (3, [2, 2])),  # D8 wr C2
+        (10, [*f21, "(8,9,10)"], 63, (3, [3, 3])),  # F21 x C3
+    ]
+    for n, texts, order, expected in cases:
+        H = HolonomySubgroup.from_cycle_texts(n, texts)
+        assert H.order == order
+        assert preimage_abelianization(H) == expected == mul_walk_abelianization(H)
+        # the free rank is the number of H-orbits on pairs
+        assert expected[0] == pair_orbit_count(H)
+    # the regular Q8 has one involution, unlike the other groups of order 8
+    q8 = HolonomySubgroup.from_cycle_texts(8, cases[3][1])
+    assert sum(p.order() == 2 for p in q8.elements) == 1
 
 
 def test_preimage_abelianization_ignores_generators_and_labels():
@@ -311,6 +327,8 @@ def test_preimage_abelianization_ignores_generators_and_labels():
         if H.order > 120:
             continue
         expected = preimage_abelianization(H)
+        assert expected == mul_walk_abelianization(H)
+        assert expected[0] == pair_orbit_count(H)
         # another generating set of the same group: a product of two
         # generators replaces the first (a lone generator its inverse), and
         # the identity joins
@@ -331,7 +349,9 @@ def test_preimage_abelianization_refuses_a_large_group_before_walking(monkeypatc
     def no_walk(*args):
         raise AssertionError("walked the Cayley graph")
 
-    monkeypatch.setattr(s, "mul", no_walk)
+    # the walk multiplies permutations; the order comes from the chain,
+    # which multiplies image tuples of its own
+    monkeypatch.setattr(s.Permutation, "__mul__", no_walk)
     H = HolonomySubgroup.from_cycle_texts(9, ["(1,2)", "(1,2,3,4,5,6,7,8,9)"])
     start = time.perf_counter()
     with pytest.raises(ValueError) as info:
@@ -341,15 +361,17 @@ def test_preimage_abelianization_refuses_a_large_group_before_walking(monkeypatc
 
 
 def test_preimage_relator_check_survives_optimize():
-    # under -O every assert is gone; the purity check on each Cayley-graph
-    # relator must still raise when the product it reads (a stubbed mul) is wrong
+    # under -O every assert is gone; the parity check on each Cayley-graph
+    # relator row must still raise when the walk it reads is wrong: a stubbed
+    # permutation product with h * s == s makes s1 * s1 an edge back to s1,
+    # whose row d = (1, 0) meets the odd orbit sum of (1,2)
     script = """
 import sys
 import braidcryst.subgroups as s
 from braidcryst import VerificationError
 H = s.HolonomySubgroup.from_cycle_texts(3, ["(1,2)", "(2,3)"])
 print(sys.flags.optimize, *s.preimage_abelianization(H))
-s.mul = lambda a, b: b
+s.Permutation.__mul__ = lambda a, b: b
 try:
     s.preimage_abelianization(H)
 except VerificationError:
