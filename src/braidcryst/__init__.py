@@ -18,7 +18,7 @@ EXPORTS = {
         "pure_generator_word", "pure_word"
     ),
     "quotient": (
-        "INFINITE", "QuotientElement", "basis_element", "basis_orbits",
+        "INFINITE", "QuotientElement", "basis_orbits",
         "canonical_lift", "conjugate", "element_order", "embed", "inverse", "mul",
         "normalize", "orbit_sums", "power", "pure", "subgroup_conjugator", "to_word"
     ),

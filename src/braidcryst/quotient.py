@@ -150,10 +150,6 @@ def pure(vec: PairVector) -> QuotientElement:
     return QuotientElement(Permutation.identity(vec.n), vec)
 
 
-def basis_element(n: int, i: int, j: int) -> QuotientElement:
-    return pure(PairVector.basis(n, i, j))
-
-
 def normalize(word: BraidWord) -> QuotientElement:
     """Normal form of a word, from its crossings: a pair crosses ``L(p)``
     once if ``p`` inverts it and not at all otherwise, so the pure part
@@ -201,20 +197,26 @@ def inverse(g: QuotientElement) -> QuotientElement:
 def power(g: QuotientElement, m: int) -> QuotientElement:
     """``g^m``.  With ``k = order(perm)``, ``g^k`` is pure and pure elements
     commute, so ``g^m = (g^k)^q * g^r`` for ``q, r = divmod(m, k)``: at most
-    ``O(log k)`` products for any ``m``, each still through :func:`mul`.
-    The nonzero coefficients of ``g^k`` are the pairs of the orbits with a
-    nonzero :func:`orbit_sums` sum, so a ``(g^k)^q`` whose coefficients would
-    take more than ``POWER_BIT_LIMIT`` bits is refused before any product."""
+    ``O(log k)`` products for any ``m``.  ``g^k`` is read off :func:`orbit_sums`
+    (an odd coefficient raises ``VerificationError``), so a ``(g^k)^q`` whose
+    coefficients would take more than ``POWER_BIT_LIMIT`` bits is refused
+    before any product."""
     if m < 0:
         return power(inverse(g), -m)
     k = g.perm.order()
     if m > k:
         q, r = divmod(m, k)
-        moved = sum(len(orbit) for orbit, s in orbit_sums(g) if s)
-        if moved * q.bit_length() > POWER_BIT_LIMIT:
-            raise ValueError(f"the power has {moved} nonzero coefficients of about {q.bit_length()} "
+        half: dict[tuple[int, int], int] = {}
+        for orbit, s in orbit_sums(g):
+            if s:
+                t = k // len(orbit) * s
+                if t % 2:
+                    raise VerificationError("an orbit sum gives an odd coefficient in g^k")
+                half.update(dict.fromkeys(orbit, t // 2))
+        if len(half) * q.bit_length() > POWER_BIT_LIMIT:
+            raise ValueError(f"the power has {len(half)} nonzero coefficients of about {q.bit_length()} "
                              f"bits, past the {POWER_BIT_LIMIT}-bit limit; refusing")
-        return mul(pure(power(g, k).vec.scaled(q)), power(g, r))
+        return mul(pure(PairVector.from_pairs(g.n, half).scaled(q)), power(g, r))
     out = QuotientElement.identity(g.n)
     base = g
     while m:
@@ -244,25 +246,7 @@ def basis_orbits(g: QuotientElement) -> tuple[tuple[tuple[int, int], ...], ...]:
     lexicographically least pair; orbits are sorted by their first pair.  Both
     hold because each walk starts at the least pair not yet seen.
     """
-    return tuple(_walk_orbits(g))
-
-
-def _walk_orbits(g: QuotientElement) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The orbits of :func:`basis_orbits`, one at a time: a reader that
-    stops early skips the rest of the walk, and only the current orbit's
-    tuple is alive, which keeps garbage collections rare at large ``n``.
-    The walk steps through pair positions and builds no pair tuple: each
-    pair is the shared entry of :func:`braidword.pairs`."""
-    basis, act = pairs(g.n), pair_images(g.perm.inverse())
-    seen = bytearray(len(basis))
-    for start in range(len(basis)):
-        orbit, k = [], start
-        while not seen[k]:
-            seen[k] = 1
-            orbit.append(basis[k])
-            k = act[k]
-        if orbit:
-            yield tuple(orbit)
+    return tuple(orbit for orbit, _ in orbit_sums(g))
 
 
 def orbit_sums(g: QuotientElement) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
@@ -277,12 +261,27 @@ def orbit_sums(g: QuotientElement) -> Iterator[tuple[tuple[tuple[int, int], ...]
     each pair of ``O``: ``g`` has finite order exactly when every ``s_O`` is
     0, and a lattice translate ``A^t g`` has ``s_O + 2 * sum over O of t``.
 
+    One lazy pass over pair positions, each pair the shared entry of
+    :func:`braidword.pairs`: a reader that stops early skips the rest, and only
+    the current orbit's tuple is alive, which keeps garbage collections rare.
+
     >>> [s for _, s in orbit_sums(normalize(BraidWord.from_text(3, "1 2")))]
     [2]
     """
-    images, off, v = g.perm.images, pair_offsets(g.n), g.vec.tolist()
-    for orbit in _walk_orbits(g):
-        yield orbit, sum(2 * v[off[i] + j] + (images[i - 1] > images[j - 1]) for i, j in orbit)
+    basis, act = pairs(g.n), pair_images(g.perm.inverse())
+    images, v = (0,) + g.perm.images, g.vec.coeffs
+    seen = bytearray(len(basis))
+    for start in range(len(basis)):
+        if seen[start]:
+            continue
+        orbit, s, k = [], 0, start
+        while not seen[k]:
+            seen[k] = 1
+            i, j = P = basis[k]
+            orbit.append(P)
+            s += 2 * v[k] + (images[i] > images[j])
+            k = act[k]
+        yield tuple(orbit), s
 
 
 def _theta_walk(
@@ -331,7 +330,7 @@ def subgroup_conjugator(
     completed, while for an infinite group another permutation might succeed.
 
     >>> g = QuotientElement(Permutation.from_text(3, "(1,2,3)"), PairVector.zero(3))
-    >>> str(subgroup_conjugator((g,), (conjugate(g, basis_element(3, 1, 3)),)))
+    >>> str(subgroup_conjugator((g,), (conjugate(g, pure(PairVector.basis(3, 1, 3))),)))
     '() | {1,3}:1'
     >>> h = conjugate(g, normalize(BraidWord.from_text(3, "1")))
     >>> c = subgroup_conjugator((g,), (h,))

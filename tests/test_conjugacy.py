@@ -15,7 +15,6 @@ from braidcryst.conjugacy import (
 from braidcryst.quotient import (
     INFINITE,
     QuotientElement,
-    basis_element,
     conjugate,
     element_order,
     mul,
@@ -30,6 +29,11 @@ from braidcryst.torsion import (
     torsion_witness,
 )
 from braidcryst.permutation import Permutation
+
+
+def basis_element(n, i, j):
+    """The pure generator ``A[i,j]`` as a quotient element."""
+    return pure(PairVector.basis(n, i, j))
 
 
 def random_element(n, rng, max_len=10):

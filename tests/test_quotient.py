@@ -21,7 +21,6 @@ from braidcryst.permutation import Permutation
 from braidcryst.quotient import (
     INFINITE,
     QuotientElement,
-    basis_element,
     basis_orbits,
     canonical_lift,
     conjugate,
@@ -47,6 +46,11 @@ from word_oracle import (
     word_normalize,
 )
 from test_zlinalg import run_python
+
+
+def basis_element(n, i, j):
+    """The pure generator ``A[i,j]`` as a quotient element."""
+    return pure(PairVector.basis(n, i, j))
 
 
 def random_word(n, rng, max_len=12):
@@ -224,6 +228,24 @@ def test_power_with_a_4000_digit_exponent_is_one_more_factor():
               QuotientElement(Permutation(tuple(images)), vec)):
         for m in (10**4000 - 1, 10**4000 + 1):
             assert power(g, m) == mul(power(g, m - 1), g)
+
+
+def test_power_parity_check_survives_optimize():
+    # past the permutation order, g^k comes from the orbit sums; a planted
+    # odd (k/|O|) * s_O must raise even under python -O
+    script = """
+import sys
+import braidcryst.quotient as q
+from braidcryst.braidword import BraidWord, VerificationError
+g = q.normalize(BraidWord.from_text(3, "1 2"))
+print(sys.flags.optimize, q.power(g, 4) == q.mul(q.power(g, 3), g))
+q.orbit_sums = lambda g: iter([(((1, 2), (1, 3), (2, 3)), 1)])
+try:
+    q.power(g, 4)
+except VerificationError:
+    print("raised")
+"""
+    assert run_python("-O", "-c", script) == ["1", "True", "raised"]
 
 
 def test_pure_embedding_is_a_homomorphism():
@@ -420,6 +442,57 @@ def test_index_walk_matches_the_pair_action_walk():
             assert all(P is basis[pair_index(g.n, *P)] for P in orbit)
 
 
+class CountingPairs(tuple):
+    """A ``pairs(n)`` tuple that counts the reads of its entries."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return tuple.__getitem__(self, k)
+
+
+def test_orbit_sums_reads_only_the_orbits_it_yields(monkeypatch):
+    import braidcryst.quotient as quotient
+
+    handed = []
+
+    def counting_pairs(n):
+        handed.append(CountingPairs(pairs(n)))
+        return handed[-1]
+
+    monkeypatch.setattr(quotient, "pairs", counting_pairs)
+    rng = random.Random(29)
+    n = 64
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    p = Permutation(tuple(images))
+    g = QuotientElement(p, PairVector(n, [rng.randint(-3, 3) for _ in range(n * (n - 1) // 2)]))
+    first, _ = next(orbit_sums(g))
+    assert handed[-1].reads == len(first) < len(pairs(n))
+    assert sum(len(orbit) for orbit, _ in orbit_sums(g)) == handed[-1].reads == len(pairs(n))
+    # A[1,2] adds 2 to the sum of the first orbit, and f(p) adds no negative
+    # term, so the first sum already decides that the order is infinite
+    infinite = QuotientElement(p, PairVector.basis(n, 1, 2))
+    assert element_order(infinite) is INFINITE
+    assert handed[-1].reads == len(first)
+
+
+def test_element_order_makes_no_product(monkeypatch):
+    import braidcryst.quotient as quotient
+
+    elements = list(formula_elements())
+    orders = [element_order(g) for g in elements]
+    assert INFINITE in orders and any(k is not INFINITE for k in orders)
+    calls = []
+    for name in ("mul", "power"):
+        real = getattr(quotient, name)
+        monkeypatch.setattr(quotient, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert [element_order(g) for g in elements] == orders
+    assert calls == []
+
+
 def orbit_roots(n, perms):
     """The least pair position in each pair position's orbit under ``perms``."""
     root = list(range(n * (n - 1) // 2))
@@ -512,9 +585,9 @@ def test_pure_conjugator_check_survives_optimize():
     script = """
 import sys
 import braidcryst.quotient as q
-from braidcryst.braidword import BraidWord, VerificationError
+from braidcryst.braidword import BraidWord, PairVector, VerificationError
 g = q.normalize(BraidWord.from_text(4, "1 2 -3"))
-h = q.conjugate(g, q.basis_element(4, 1, 3))
+h = q.conjugate(g, q.pure(PairVector.basis(4, 1, 3)))
 print(sys.flags.optimize, q.subgroup_conjugator((g,), (h,)) is not None)
 q.conjugate = lambda g, c: g
 try:
