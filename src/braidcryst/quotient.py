@@ -197,26 +197,20 @@ def inverse(g: QuotientElement) -> QuotientElement:
 def power(g: QuotientElement, m: int) -> QuotientElement:
     """``g^m``.  With ``k = order(perm)``, ``g^k`` is pure and pure elements
     commute, so ``g^m = (g^k)^q * g^r`` for ``q, r = divmod(m, k)``: at most
-    ``O(log k)`` products for any ``m``.  ``g^k`` is read off :func:`orbit_sums`
-    (an odd coefficient raises ``VerificationError``), so a ``(g^k)^q`` whose
-    coefficients would take more than ``POWER_BIT_LIMIT`` bits is refused
-    before any product."""
+    ``O(log k)`` products for any ``m``, each still through :func:`mul`.
+    The nonzero coefficients of ``g^k`` are the pairs of the orbits with a
+    nonzero :func:`orbit_sums` sum, so a ``(g^k)^q`` whose coefficients would
+    take more than ``POWER_BIT_LIMIT`` bits is refused before any product."""
     if m < 0:
         return power(inverse(g), -m)
     k = g.perm.order()
     if m > k:
         q, r = divmod(m, k)
-        half: dict[tuple[int, int], int] = {}
-        for orbit, s in orbit_sums(g):
-            if s:
-                t = k // len(orbit) * s
-                if t % 2:
-                    raise VerificationError("an orbit sum gives an odd coefficient in g^k")
-                half.update(dict.fromkeys(orbit, t // 2))
-        if len(half) * q.bit_length() > POWER_BIT_LIMIT:
-            raise ValueError(f"the power has {len(half)} nonzero coefficients of about {q.bit_length()} "
+        moved = sum(len(orbit) for orbit, s in orbit_sums(g) if s)
+        if moved * q.bit_length() > POWER_BIT_LIMIT:
+            raise ValueError(f"the power has {moved} nonzero coefficients of about {q.bit_length()} "
                              f"bits, past the {POWER_BIT_LIMIT}-bit limit; refusing")
-        return mul(pure(PairVector.from_pairs(g.n, half).scaled(q)), power(g, r))
+        return mul(pure(power(g, k).vec.scaled(q)), power(g, r))
     out = QuotientElement.identity(g.n)
     base = g
     while m:

@@ -180,8 +180,7 @@ def sublattice_is_torsion_free(
     # one row per orbit; the unknowns are the multipliers of the generators
     rows, rhs = [], []
     for orbit, s in orbit_sums(coset_rep):
-        at = [pair_index(coset_rep.n, i, j) for i, j in orbit]
-        rows.append([2 * sum(g[k] for k in at) for g in gens])
+        rows.append([2 * sum(g[pair_index(coset_rep.n, i, j)] for (i, j) in orbit) for g in gens])
         rhs.append(-s)
     return solve_integer(rows, rhs) is None
 

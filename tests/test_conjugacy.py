@@ -29,11 +29,7 @@ from braidcryst.torsion import (
     torsion_witness,
 )
 from braidcryst.permutation import Permutation
-
-
-def basis_element(n, i, j):
-    """The pure generator ``A[i,j]`` as a quotient element."""
-    return pure(PairVector.basis(n, i, j))
+from test_quotient import basis_element
 
 
 def random_element(n, rng, max_len=10):

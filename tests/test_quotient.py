@@ -230,24 +230,6 @@ def test_power_with_a_4000_digit_exponent_is_one_more_factor():
             assert power(g, m) == mul(power(g, m - 1), g)
 
 
-def test_power_parity_check_survives_optimize():
-    # past the permutation order, g^k comes from the orbit sums; a planted
-    # odd (k/|O|) * s_O must raise even under python -O
-    script = """
-import sys
-import braidcryst.quotient as q
-from braidcryst.braidword import BraidWord, VerificationError
-g = q.normalize(BraidWord.from_text(3, "1 2"))
-print(sys.flags.optimize, q.power(g, 4) == q.mul(q.power(g, 3), g))
-q.orbit_sums = lambda g: iter([(((1, 2), (1, 3), (2, 3)), 1)])
-try:
-    q.power(g, 4)
-except VerificationError:
-    print("raised")
-"""
-    assert run_python("-O", "-c", script) == ["1", "True", "raised"]
-
-
 def test_pure_embedding_is_a_homomorphism():
     rng = random.Random(4)
     n = 5
