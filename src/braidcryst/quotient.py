@@ -197,7 +197,8 @@ def inverse(g: QuotientElement) -> QuotientElement:
 def power(g: QuotientElement, m: int) -> QuotientElement:
     """``g^m``.  With ``k = order(perm)``, ``g^k`` is pure and pure elements
     commute, so ``g^m = (g^k)^q * g^r`` for ``q, r = divmod(m, k)``: at most
-    ``O(log k)`` products for any ``m``, each still through :func:`mul`.
+    ``O(log k)`` products for any ``m``, each still through :func:`mul`, and
+    from ``g``: ``m.bit_length() + popcount(m) - 2`` of them for ``0 < m <= k``.
     The nonzero coefficients of ``g^k`` are the pairs of the orbits with a
     nonzero :func:`orbit_sums` sum, so a ``(g^k)^q`` whose coefficients would
     take more than ``POWER_BIT_LIMIT`` bits is refused before any product."""
@@ -211,14 +212,13 @@ def power(g: QuotientElement, m: int) -> QuotientElement:
             raise ValueError(f"the power has {moved} nonzero coefficients of about {q.bit_length()} "
                              f"bits, past the {POWER_BIT_LIMIT}-bit limit; refusing")
         return mul(pure(power(g, k).vec.scaled(q)), power(g, r))
-    out = QuotientElement.identity(g.n)
-    base = g
-    while m:
-        if m & 1:
-            out = mul(out, base)
-        m >>= 1
-        if m:
-            base = mul(base, base)
+    if m == 0:
+        return QuotientElement.identity(g.n)
+    out = g
+    for bit in bin(m)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, g)
     return out
 
 
@@ -256,14 +256,15 @@ def orbit_sums(g: QuotientElement) -> Iterator[tuple[tuple[tuple[int, int], ...]
     0, and a lattice translate ``A^t g`` has ``s_O + 2 * sum over O of t``.
 
     One lazy pass over pair positions, each pair the shared entry of
-    :func:`braidword.pairs`: a reader that stops early skips the rest, and only
+    :func:`braidword.pairs`, with the pair action computed for each visited
+    pair only: a reader that stops early pays for the orbits it read, and only
     the current orbit's tuple is alive, which keeps garbage collections rare.
 
     >>> [s for _, s in orbit_sums(normalize(BraidWord.from_text(3, "1 2")))]
     [2]
     """
-    basis, act = pairs(g.n), pair_images(g.perm.inverse())
-    images, v = (0,) + g.perm.images, g.vec.coeffs
+    basis, off, v = pairs(g.n), pair_offsets(g.n), g.vec.coeffs
+    images, back = (0,) + g.perm.images, (0,) + g.perm.inverse().images
     seen = bytearray(len(basis))
     for start in range(len(basis)):
         if seen[start]:
@@ -274,7 +275,8 @@ def orbit_sums(g: QuotientElement) -> Iterator[tuple[tuple[tuple[int, int], ...]
             i, j = P = basis[k]
             orbit.append(P)
             s += 2 * v[k] + (images[i] > images[j])
-            k = act[k]
+            a, b = back[i], back[j]
+            k = off[a] + b if a < b else off[b] + a
         yield tuple(orbit), s
 
 

@@ -219,6 +219,29 @@ def test_power_matches_binary_powering_across_three_periods():
     assert finite > 20 and infinite > 20
 
 
+def test_power_squares_from_g_and_never_multiplies_by_the_identity(monkeypatch):
+    # square and multiply from the first factor: bit_length - 1 squarings
+    # and popcount - 1 further factors, for every m up to order(perm)
+    import braidcryst.quotient as quotient
+
+    operands = []
+
+    def counting_mul(a, b):
+        operands.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(quotient, "mul", counting_mul)
+    for g in formula_elements():
+        if g.n > 8:
+            continue
+        one = QuotientElement.identity(g.n)
+        for m in range(1, g.perm.order() + 1):
+            operands.clear()
+            assert power(g, m) == binary_power(g, m)
+            assert len(operands) == m.bit_length() + bin(m).count("1") - 2
+            assert all(one not in pair for pair in operands)
+
+
 def test_power_with_a_4000_digit_exponent_is_one_more_factor():
     rng = random.Random(40)
     images = list(range(1, 65))
@@ -458,6 +481,14 @@ def test_orbit_sums_reads_only_the_orbits_it_yields(monkeypatch):
     infinite = QuotientElement(p, PairVector.basis(n, 1, 2))
     assert element_order(infinite) is INFINITE
     assert handed[-1].reads == len(first)
+    # the pair action is computed per visited pair, never as a whole table
+    def no_table(p):
+        raise AssertionError("orbit_sums built the whole pair action")
+
+    monkeypatch.setattr(quotient, "pair_images", no_table)
+    assert next(orbit_sums(g))[0] == first
+    assert element_order(infinite) is INFINITE
+    assert sum(map(len, basis_orbits(g))) == len(pairs(n))
 
 
 def test_element_order_makes_no_product(monkeypatch):
