@@ -13,9 +13,8 @@ EXPORTS = {
         "Permutation", "StabilizerChain", "conjugating_permutation", "parse_int"
     ),
     "braidword": (
-        "BraidWord", "NotPureError", "PairVector", "VerificationError",
-        "full_twist_word", "linking_vector", "pair_index", "pairs",
-        "pure_generator_word", "pure_word"
+        "BraidWord", "PairVector", "VerificationError", "full_twist_word",
+        "pair_index", "pairs", "pure_generator_word", "pure_word"
     ),
     "quotient": (
         "INFINITE", "QuotientElement", "basis_orbits",
@@ -36,7 +35,7 @@ EXPORTS = {
         "OrbitTable", "closed_form_orbits", "enumerate_orbits", "relabeled_basis"
     ),
     "zlinalg": (
-        "abelianization", "hnf", "lattice_contains", "snf", "solve_integer"
+        "abelianization", "hnf", "lattice_contains", "solve_integer"
     ),
     "subgroups": (
         "HolonomySubgroup", "holonomy_det", "holonomy_matrix", "is_bieberbach",

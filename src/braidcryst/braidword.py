@@ -7,10 +7,10 @@ string is the empty word.
 
 The free abelian group on the pure-braid generators ``A[i,j]``
 (``1 <= i < j <= n``) is represented by :class:`PairVector` with coordinates
-in lexicographic pair order.  ``linking_vector`` maps a *pure* word to its
-class there: sweep the word tracking the strand order, credit each letter
-``+-k`` to the two strands currently at positions ``k, k+1``, and halve the
-totals (a pure word crosses every strand pair an even number of times).
+in lexicographic pair order.  :func:`crossing_counts` reads a word in one
+sweep, tracking the strand order and crediting each letter ``+-k`` to the two
+strands currently at positions ``k, k+1``; the permutation of a word and its
+normal form (``quotient.normalize``) both come from that sweep.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .permutation import Permutation, Record, parse_int
-
-
-class NotPureError(ValueError):
-    """Raised when a pure-braid-only operation gets a non-pure word."""
 
 
 class VerificationError(AssertionError):
@@ -111,17 +107,7 @@ class BraidWord(Record):
 
     def permutation(self) -> Permutation:
         """Strand ``s`` goes to its final position; first letter acts first."""
-        order = list(range(1, self.n + 1))  # order[pos-1] = strand at position pos
-        for e in self.letters:
-            k = abs(e)
-            order[k - 1], order[k] = order[k], order[k - 1]
-        images = [0] * self.n
-        for pos, strand in enumerate(order, start=1):
-            images[strand - 1] = pos
-        return Permutation(tuple(images))
-
-    def is_pure(self) -> bool:
-        return self.permutation().is_identity()
+        return Permutation(tuple(crossing_counts(self)[0])).inverse()
 
     def __str__(self) -> str:
         return " ".join(map(str, self.letters))
@@ -273,20 +259,6 @@ def crossing_counts(word: BraidWord) -> tuple[list[int], list[int]]:
         counts[off[a] + b if a < b else off[b] + a] += 1 if e > 0 else -1
         order[k - 1], order[k] = b, a
     return order, counts
-
-
-def linking_vector(word: BraidWord) -> PairVector:
-    """Abelianized pure-braid class of a pure word.
-
-    >>> linking_vector(BraidWord(3, (2, 1, 1, -2))).support()
-    {(1, 3): 1}
-    """
-    order, counts = crossing_counts(word)
-    if order != list(range(1, word.n + 1)):
-        raise NotPureError(f"word is not pure: {word}")
-    if any(c % 2 for c in counts):
-        raise VerificationError("pure word with odd crossing count")
-    return PairVector(word.n, [c // 2 for c in counts])
 
 
 def pure_generator_word(n: int, i: int, j: int) -> BraidWord:

@@ -164,7 +164,8 @@ def _cmd_alpha(args) -> None:
 
 def _cmd_orbits(args) -> None:
     if (args.element is None) == (args.blocks is None):
-        raise UsageError("orbits needs an element or --blocks, not both")
+        both = "" if args.blocks is None else ", not both"
+        raise UsageError(f"orbits needs an element or --blocks{both}")
     if args.blocks is not None:
         table = bc.closed_form_orbits(bc.BlockSpec.from_text(_need_n(args), args.blocks))
     else:
@@ -422,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         parser.error(str(exc))
     except (ValueError, KeyError) as exc:
-        # covers NotPure, InfiniteOrder, NotASolution, NotFrobenius, bad JSON
+        # covers InfiniteOrder, NotASolution, NotFrobenius, bad JSON
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 1
     except MemoryError:

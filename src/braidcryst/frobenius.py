@@ -140,13 +140,6 @@ class SolutionFamily(Record):
     def rank(self) -> int:
         return len(self.kernel)
 
-    def contains(self, N: PairVector) -> bool:
-        try:
-            recover_parameters(N)
-        except NotASolution:
-            return False
-        return True
-
 
 def solve_family() -> SolutionFamily:
     """The repair family: N0 plus the six directions of :func:`family_member`.

@@ -13,7 +13,7 @@ The group law is a twisted product over pairs ``i < j``; with
     (p, g) * (q, h) = (p*q, out),
     out[i,j] = g[i,j] + h[sort(p(i),p(j))] + [p(i) > p(j) and q(p(i)) < q(p(j))],
 
-where the last term is the 2-cocycle ``linking_vector(L(p) L(q) L(pq)^-1)``:
+where the last term is the 2-cocycle ``normalize(L(p) L(q) L(pq)^-1).vec``:
 it counts the pairs that ``L(p)`` crosses and ``L(q)`` crosses back.  The
 inverse is ``(p^-1, w)`` with ``w[P] = -v[Q] - [p inverts Q]`` for
 ``Q = sort(p^-1(P))``, and :func:`normalize` reads a word's crossings in one

@@ -50,10 +50,10 @@ def holonomy_matrix(p: Permutation) -> list[list[int]]:
 
 
 def holonomy_det(p: Permutation) -> int:
-    """Determinant of :func:`holonomy_matrix`, computed exactly as the sign
-    of the induced pair permutation."""
-    images = tuple(k + 1 for k in pair_images(p))
-    return -1 if Permutation(images).parity() else 1
+    """Determinant of :func:`holonomy_matrix`: a transposition ``(a b)``
+    swaps ``n - 2`` pairs of pairs, ``{a, c}`` and ``{b, c}``, so it is -1
+    exactly for odd ``p`` at odd ``n``."""
+    return -1 if p.n % 2 and p.parity() else 1
 
 
 class HolonomySubgroup(Record):

@@ -1,6 +1,6 @@
-"""Exact integer linear algebra: Hermite and Smith normal forms with
-transforms, integer linear solving, lattice membership, and finitely
-generated abelian group invariants.
+"""Exact integer linear algebra: Hermite normal form with its transform,
+integer linear solving, lattice membership, and the Smith invariants of
+finitely generated abelian groups.
 
 A matrix is a list of rows, each a list of python ints, so entries never
 overflow and no floating point is involved.  Inputs may be lists or tuples
@@ -8,16 +8,12 @@ of rows; every entry must be an ``int`` (``bool``, ``float`` and other types
 raise ``TypeError``, ragged rows raise ``ValueError``).  Results are always
 fresh ``list[list[int]]`` (matrices) or ``list[int]`` (vectors).
 
-Row convention throughout: ``hnf`` returns ``(H, U)`` with ``U @ M = H`` and
-``U`` unimodular; ``snf`` returns ``(D, U, V)`` with ``U @ M @ V = D``
-diagonal and ``d1 | d2 | ...``.
-
-One Hermite elimination serves every function: ``hnf`` directly, the
-lattice functions with no transform, ``solve_integer`` on the transpose, and
-``snf`` on rows and columns in turn.  Its pivot is the row of least nonzero
-``|entry|`` in the column, and the rows below lose nearest-integer multiples
-of it, which keeps transforms small (Cohen, GTM 138, section 2.4).
-Transforms are valid ones, not canonical ones.
+One Hermite elimination serves every function: ``hnf`` directly (rows, as
+``U @ M = H``), the lattice functions with no transform, ``solve_integer``
+on the transpose, and ``abelianization`` on rows and columns in turn.  Its
+pivot is the row of least nonzero ``|entry|`` in the column, and the rows
+below lose nearest-integer multiples of it, which keeps transforms small
+(Cohen, GTM 138, section 2.4).  Transforms are valid ones, not canonical.
 
 >>> hnf([[2, 4], [1, 3]])
 ([[1, 1], [0, 2]], [[1, -1], [-1, 2]])
@@ -137,17 +133,19 @@ def _transpose(M: Matrix, width: int) -> Matrix:
     return [list(col) for col in zip(*M)] if M else [[] for _ in range(width)]
 
 
-def _smith(D: Matrix, width: int, U: Matrix | None, VT: Matrix | None) -> None:
-    """Bring ``D`` (rows of ``width`` entries) to Smith normal form in place.
-
-    Row operations go to ``U`` and column operations, as row operations, to
-    ``VT``, the transpose of the right transform; either may be ``None``.
-    """
+def _smith(D: Matrix, width: int) -> None:
+    """Bring ``D`` (rows of ``width`` entries) to Smith normal form in place:
+    Hermite eliminations of the rows and of the columns alternate until ``D``
+    is diagonal; while some ``d[i]`` does not divide ``d[i + 1]``, column
+    ``i + 1`` is added to column ``i`` and they run again (Kannan and Bachem,
+    SIAM J. Comput. 8, 1979).  This ends: each round lowers the first pivot
+    not yet alone in its row and column, or leaves it alone there, and each
+    fix lowers ``d[i]`` to ``gcd(d[i], d[i + 1])`` and keeps ``d[:i]``."""
     m = len(D)
     while True:
-        _echelon(D, U)
+        _echelon(D, None)
         T = _transpose(D, width)  # column operations on D are row operations on T
-        _echelon(T, VT)
+        _echelon(T, None)
         D[:] = _transpose(T, m)
         if any(a for i, row in enumerate(T) for j, a in enumerate(row) if i != j):
             continue
@@ -159,31 +157,6 @@ def _smith(D: Matrix, width: int, U: Matrix | None, VT: Matrix | None) -> None:
         # row elimination leaves a lone pivot in its row
         for row in D:
             row[i] += row[i + 1]
-        if VT is not None:
-            VT[i] = [a + b for a, b in zip(VT[i], VT[i + 1])]
-
-
-def snf(M: MatrixLike) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form ``U @ M @ V = D`` with divisibility along the diagonal.
-
-    ``D``, ``U`` and ``V`` are lists of rows.  Hermite eliminations of the
-    rows and of the columns alternate until ``D`` is diagonal; while some
-    ``d[i]`` does not divide ``d[i + 1]``, column ``i + 1`` is added to
-    column ``i`` and they run again (Kannan and Bachem, SIAM J. Comput. 8,
-    1979).  This ends: each round lowers the first pivot not yet alone in its
-    row and column, or leaves it alone there, and each fix lowers ``d[i]`` to
-    ``gcd(d[i], d[i + 1])`` and keeps ``d[:i]``.  ``D`` is unique; ``U`` and
-    ``V`` are valid transforms, not canonical ones.
-
-    >>> snf([[2, 0], [0, 3]])
-    ([[1, 0], [0, 6]], [[-1, 1], [-3, 2]], [[1, -3], [1, -2]])
-    """
-    D = as_int_matrix(M)
-    n = _width(D)
-    U = identity_matrix(len(D))
-    VT = identity_matrix(n)
-    _smith(D, n, U, VT)
-    return D, U, _transpose(VT, n)
 
 
 def diagonal(D: Matrix) -> list[int]:
@@ -286,7 +259,7 @@ def abelianization(relations: MatrixLike, generators: int) -> tuple[int, list[in
     R = as_int_matrix(relations)
     if R and len(R[0]) != generators:
         raise ValueError("relation width does not match generator count")
-    _smith(R, generators, None, None)
+    _smith(R, generators)
     diag = diagonal(R)
     rank = sum(1 for d in diag if d != 0)
     factors = [d for d in diag if d > 1]

@@ -121,7 +121,7 @@ def _criterion_3():
     assert mat_vec(M, list(default_offset().coeffs)) == rhs
     assert row_lattice_hnf(solved[1]) == row_lattice_hnf([list(k.coeffs) for k in fam.kernel])
     # the designated particular solution
-    assert fam.contains(default_offset())
+    assert recover_parameters(default_offset()) == (0, 0, 0, -1, 1, 0)
     x, y = build_xy()
     assert defect(x, mul(pure(default_offset()), y)).is_zero()
     # the parametrization solves the system for every parameter choice
@@ -136,7 +136,6 @@ def _criterion_3():
     samples += [tuple(rng.randint(-4, 4) for _ in range(6)) for _ in range(20)]
     for r in samples:
         N = family_member(r)
-        assert fam.contains(N)
         assert recover_parameters(N) == r
         assert defect(x, mul(pure(N), y)).is_zero()
 

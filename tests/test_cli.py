@@ -703,14 +703,19 @@ def test_strand_count_below_two_is_a_usage_error():
         (["--json", "count-classes", "--k", "3"], "braidcryst: error: --n is required for this command"),
         (["--n", "3", "orbits", "1 2", "--blocks", "3"],
          "braidcryst: error: orbits needs an element or --blocks, not both"),
+        (["--n", "3", "orbits"], "braidcryst: error: orbits needs an element or --blocks"),
     ],
     ids=["invalid-verb", "missing-positional", "bad-n", "conjugator-without-r", "newline",
-         "count-classes-without-n", "orbits-with-element-and-blocks"],
+         "count-classes-without-n", "orbits-with-element-and-blocks", "orbits-with-neither"],
 )
 def test_usage_error_is_one_line(argv, line):
     code, out, err = _call(*argv)
     assert (code, out) == (2, "")
     assert len(err) == 1 and err[0].startswith(line), err
+
+
+def test_orbits_with_neither_input_does_not_say_both():
+    assert _call("--n", "3", "orbits")[2] == ["braidcryst: error: orbits needs an element or --blocks"]
 
 
 def test_help_is_not_an_error():

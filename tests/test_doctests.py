@@ -3,8 +3,6 @@
 import ast
 import doctest
 import importlib
-import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,27 +58,48 @@ def test_module_has_no_unused_import(module):
     assert {name: line for name, line in imported.items() if name not in used} == {}
 
 
+def _code_references(path):
+    """The names that the code of ``path`` reads: the id of each ``ast.Name``
+    and the attribute of each ``ast.Attribute`` it loads, except where a
+    definition reads its own name (a recursive call, say).  Strings,
+    docstrings and comments are not code, so a name that only they mention is
+    not read."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in inside:
+                found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return found
+
+
+PACKAGE_PATHS = sorted(Path(braidcryst.__file__).parent.glob("*.py"))
+
+
 def test_package_has_no_unused_private_definition():
-    # a fold or a deletion must not leave a private helper behind: each
-    # private function, method or class is named again somewhere in the
-    # package source, beyond its own definitions
-    sources = [path.read_text() for path in sorted(Path(braidcryst.__file__).parent.glob("*.py"))]
-    defined = Counter(
+    # a fold or a deletion must not leave a private helper behind: the code
+    # of the package reads each private function, method or class somewhere
+    # beyond its own definition
+    defined = {
         node.name
-        for text in sources
-        for node in ast.walk(ast.parse(text))
+        for path in PACKAGE_PATHS
+        for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name.startswith("_") and not node.name.endswith("__")
-    )
-    unused = [
-        name for name, count in sorted(defined.items())
-        if sum(len(re.findall(rf"\b{name}\b", text)) for text in sources) <= count
-    ]
-    assert unused == []
+    }
+    read = set().union(*map(_code_references, PACKAGE_PATHS))
+    assert sorted(defined - read) == []
 
 
-# public names that nothing in the package or the benchmark calls, kept
-# because each reproduces a statement of the paper that a test checks
+# public names that no code in the package, the demos or the benchmark reads,
+# kept because each reproduces a statement of the paper that a test checks
 PAPER_ONLY_EXPORTS = {
     # the full twist generates the center of B_n and is pure: its image in
     # B_n/[P_n,P_n] is the all-ones pair vector
@@ -88,40 +107,35 @@ PAPER_ONLY_EXPORTS = {
     # for odd n the quotient has an element of order n over the full cycle:
     # the quotient has torsion
     "cyclic_torsion_element",
-    # the finite orders are the odd orders of elements of S_n, from the
-    # correspondence of finite-order classes with odd-order classes of S_n
-    "finite_orders",
+    # the order-21 Frobenius group F21 embeds in B_n/[P_n,P_n] for every
+    # n >= 7, through the standard inclusion of its seven-strand witness
+    "embed",
+    # the orbit coordinates of the pair-basis tables of the block torsion
+    # elements, labelled by block and offset as in the paper's tables
+    "relabeled_basis",
 }
 
 
-def _top_level_names(node):
-    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        return [node.name]
-    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
-    return [target.id for target in targets if isinstance(target, ast.Name)]
+def _workload_functions(path):
+    """The function names that the benchmark's ops call by string, the
+    second argument of each ``Op(kind, func, ...)``."""
+    return {
+        node.args[1].value
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Op"
+        and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+    }
 
 
 def test_every_export_has_a_caller_or_reproduces_the_paper():
-    # a public name must appear in the package or the benchmark beyond its
-    # own definition, or be one of the paper's statements above
-    root = Path(braidcryst.__file__).parent
-    paths = [path for path in sorted(root.glob("*.py")) if path.name != "__init__.py"]
-    paths += sorted((root.parents[1] / "bench").glob("*.py"))
-    texts = {path: path.read_text() for path in paths}
-    unused = []
-    for module, names in braidcryst.EXPORTS.items():
-        home = root / f"{module}.py"
-        lines = texts[home].splitlines()
-        spans = {
-            name: (node.lineno - 1, node.end_lineno)
-            for node in ast.parse(texts[home]).body for name in _top_level_names(node)
-        }
-        for name in names:
-            start, end = spans[name]
-            rest = "\n".join(lines[:start] + lines[end:])
-            others = [text for path, text in texts.items() if path != home]
-            if not any(re.search(rf"\b{name}\b", text) for text in [rest, *others]):
-                unused.append(name)
-    assert sorted(set(unused) - PAPER_ONLY_EXPORTS) == []
+    # a public name must be read by code: in the package beyond its own
+    # definition, in a demo, or in the benchmark, whose ops also name their
+    # function by a string; the tracer only wraps names, so it calls none
+    root = Path(braidcryst.__file__).parents[2]
+    bench = [path for path in sorted((root / "bench").glob("*.py")) if path.name != "tracing.py"]
+    paths = [*PACKAGE_PATHS, *sorted((root / "demos").glob("*.py")), *bench]
+    read = set().union(*map(_code_references, paths), _workload_functions(root / "bench" / "workloads.py"))
+    unused = {name for names in braidcryst.EXPORTS.values() for name in names} - read
+    assert sorted(unused - PAPER_ONLY_EXPORTS) == []
     # an allow-list entry that gains a caller leaves the list
-    assert sorted(PAPER_ONLY_EXPORTS - set(unused)) == []
+    assert sorted(PAPER_ONLY_EXPORTS - unused) == []

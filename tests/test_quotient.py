@@ -11,7 +11,6 @@ from braidcryst.braidword import (
     BraidWord,
     PairVector,
     full_twist_word,
-    linking_vector,
     pair_images,
     pair_index,
     pair_offsets,
@@ -39,6 +38,7 @@ from braidcryst.zlinalg import solve_integer
 from word_oracle import (
     LIFTS,
     closed_cocycle,
+    linking_vector,
     reverse_scan_lift,
     word_cocycle,
     word_inverse,

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from braidcryst import zlinalg
-from braidcryst.braidword import BraidWord, PairVector, pair_index, pairs, pure_generator_word
+from braidcryst.braidword import BraidWord, PairVector, pair_images, pair_index, pairs, pure_generator_word
 from braidcryst.permutation import Permutation
 from braidcryst.quotient import (
     QuotientElement,
@@ -69,6 +69,21 @@ def test_holonomy_matrices_are_permutation_matrices():
         M = holonomy_matrix(p)
         assert all(sum(col) == 1 for col in zip(*M)) and all(sum(row) == 1 for row in M)
         assert holonomy_det(p) in (-1, 1)
+
+
+def test_holonomy_det_is_the_sign_of_the_pair_permutation():
+    # oracle: the parity of the permutation the pair action induces on the
+    # n(n-1)/2 pair positions, over all of S_n for n <= 7 and seeded up to 60
+    rng = random.Random(47)
+    perms = [Permutation(images) for n in range(2, 8) for images in itertools.permutations(range(1, n + 1))]
+    for n in range(8, 61):
+        for _ in range(6):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            perms.append(Permutation(tuple(images)))
+    for p in perms:
+        pair_sign = -1 if Permutation(tuple(k + 1 for k in pair_images(p))).parity() else 1
+        assert holonomy_det(p) == pair_sign, p
 
 
 def test_holonomy_subgroup_enumeration():

@@ -1,16 +1,32 @@
 """Word-built oracles for the closed-form group law.
 
 The engine multiplies, inverts and normalizes by closed forms.  These helpers
-rebuild the same answers the long way, from lift words and
-``linking_vector``, under either of two reduced positive lifts:
-``canonical_lift`` (scan left to right) and ``reverse_scan_lift`` (scan right
-to left).  By Matsumoto's theorem both give the same braid, so every route
-must agree.
+rebuild the same answers the long way, from lift words and the
+:func:`linking_vector` of pure words, under either of two reduced positive
+lifts: ``canonical_lift`` (scan left to right) and ``reverse_scan_lift``
+(scan right to left).  By Matsumoto's theorem both give the same braid, so
+every route must agree.
 """
 
-from braidcryst.braidword import BraidWord, PairVector, linking_vector
+from braidcryst.braidword import BraidWord, PairVector, VerificationError, crossing_counts
 from braidcryst.permutation import Permutation
 from braidcryst.quotient import QuotientElement, canonical_lift, mul
+
+
+class NotPureError(ValueError):
+    """Raised when :func:`linking_vector` gets a word that is not pure."""
+
+
+def linking_vector(word: BraidWord) -> PairVector:
+    """Abelianized pure-braid class of a pure word: half of each strand
+    pair's signed crossing count (a pure word crosses every pair an even
+    number of times)."""
+    order, counts = crossing_counts(word)
+    if order != list(range(1, word.n + 1)):
+        raise NotPureError(f"word is not pure: {word}")
+    if any(c % 2 for c in counts):
+        raise VerificationError("pure word with odd crossing count")
+    return PairVector(word.n, [c // 2 for c in counts])
 
 
 def reverse_scan_lift(p: Permutation) -> BraidWord:
