@@ -260,9 +260,6 @@ class StandardizationResult(Record):
     conjugator: QuotientElement
     power: int
 
-    def to_json(self) -> dict:
-        return {"conjugator": self.conjugator.to_json(), "power": self.power}
-
 
 def standardize_frobenius(
     g3: QuotientElement, g7: QuotientElement

@@ -1,13 +1,13 @@
 """Conjugation orbits of block torsion elements on the pair basis.
 
-``enumerate_orbits`` walks the action; ``closed_form_orbits`` writes the same
-table down directly from the block data, without any group arithmetic, in
-four families: pairs inside one block (one orbit of length ``k`` per
-"winding distance" ``h``), pairs of one block point and one point beyond the
-blocks (length ``k`` per outside point), pairs across two blocks
-(``gcd(kp, kq)`` orbits of length ``lcm(kp, kq)``), and fixed pairs beyond
-the blocks.  Orbits are listed following the action direction, starting at
-the lexicographically least pair, and sorted by that pair.
+``enumerate_orbits`` walks the action of any element; ``closed_form_orbits``
+writes a block torsion element's table down from its block data alone,
+never building the element, in four families: pairs inside one block (one
+orbit of length ``k`` per "winding distance" ``h``), pairs of one block
+point and one point beyond the blocks (length ``k`` per outside point),
+pairs across two blocks (``gcd(kp, kq)`` orbits of length ``lcm(kp, kq)``),
+and fixed pairs beyond the blocks.  Orbits are listed following the action
+direction, starting at the lexicographically least pair, and sorted by it.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from typing import Iterator
 from .braidword import VerificationError, pair_offsets, pairs
 from .permutation import Record
 from .quotient import QuotientElement, basis_orbits
-from .torsion import BlockSpec, torsion_element
+from .torsion import BlockSpec
 
 Pair = tuple[int, int]
 
 
 class OrbitTable(Record):
-    __slots__ = _fields = ("element", "orbits")
-    element: QuotientElement
+    __slots__ = _fields = ("orbits",)
     orbits: tuple[tuple[Pair, ...], ...]
 
     def to_json(self) -> list[list[str]]:
@@ -36,7 +35,7 @@ class OrbitTable(Record):
 
 
 def enumerate_orbits(g: QuotientElement) -> OrbitTable:
-    return OrbitTable(g, basis_orbits(g))
+    return OrbitTable(basis_orbits(g))
 
 
 def _wrap(x: int, m: int) -> int:
@@ -45,7 +44,7 @@ def _wrap(x: int, m: int) -> int:
 
 
 def _families(spec: BlockSpec) -> Iterator[tuple[tuple, list[Pair]]]:
-    """The orbits of ``torsion_element(spec)`` from index formulas alone, each
+    """The orbits of the block element of ``spec`` by index formulas, each
     in action order with the label prefix :func:`relabeled_basis` gives it."""
     n = spec.n
     blocks = spec.blocks
@@ -82,7 +81,7 @@ def _families(spec: BlockSpec) -> Iterator[tuple[tuple, list[Pair]]]:
 
 
 def closed_form_orbits(spec: BlockSpec) -> OrbitTable:
-    """Orbit table of ``torsion_element(spec)`` from index formulas alone.
+    """Orbit table of the block torsion element of ``spec``, by formula alone.
 
     Its pairs are the very tuples of ``pairs(spec.n)``, shared by every table
     on ``n`` strands rather than built afresh for each.
@@ -92,7 +91,7 @@ def closed_form_orbits(spec: BlockSpec) -> OrbitTable:
     for _, orbit in _families(spec):
         k = orbit.index(min(orbit))
         rotated.append(tuple(basis[off[i] + j] for i, j in orbit[k:] + orbit[:k]))
-    return OrbitTable(torsion_element(spec), tuple(sorted(rotated, key=lambda o: o[0])))
+    return OrbitTable(tuple(sorted(rotated, key=lambda o: o[0])))
 
 
 def relabeled_basis(spec: BlockSpec) -> dict[Pair, tuple]:

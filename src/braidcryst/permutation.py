@@ -8,8 +8,8 @@ factor acts first.  All points are 1-based; the image tuple ``images`` stores
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 import random
 import re
 from typing import Iterable, Sequence, TypeVar
@@ -48,7 +48,8 @@ class Permutation:
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images!r}")
-        object.__setattr__(self, "_images", bytes(images) if n < 256 else tuple(images))
+        # operator.index rejects what bytes() rejects below 256 points (1.0, say)
+        object.__setattr__(self, "_images", bytes(images) if n < 256 else tuple(map(operator.index, images)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Permutation is immutable; cannot set {name!r}")
@@ -78,12 +79,6 @@ class Permutation:
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def transposition(n: int, i: int, j: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = j, i
-        return Permutation(tuple(images))
 
     @staticmethod
     def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -170,13 +165,6 @@ class Permutation:
 
     def order(self) -> int:
         return math.lcm(1, *(len(c) for c in self.cycles()))
-
-    def inversions(self) -> int:
-        return sum(
-            1
-            for i, j in itertools.combinations(range(1, self.n + 1), 2)
-            if self(i) > self(j)
-        )
 
     def parity(self) -> int:
         """0 for even, 1 for odd."""

@@ -127,10 +127,13 @@ class QuotientElement(Record):
 
     @staticmethod
     def from_json(data: Mapping) -> "QuotientElement":
-        """Parse ``{"n": n, "perm": [...], "vec": {"i,j": c, ...}}``; ``n``
-        and every entry must be ints (not bools or floats), ``n >= 2``."""
+        """Parse ``{"n": n, "perm": [...], "vec": {"i,j": c, ...}}`` and no other
+        key; ``n`` and every entry must be ints (not bools or floats), ``n >= 2``."""
         if not isinstance(data, Mapping):
             raise ValueError(f"element must be a JSON object, got {data!r}")
+        extra = [key for key in data if key not in ("n", "perm", "vec")]
+        if extra:
+            raise ValueError(f"unknown element key {extra[0]!r}: expected n, perm and vec")
         n, images = data.get("n"), data.get("perm")
         if type(n) is not int or n < 2:
             raise ValueError(f"element n must be an integer >= 2, got {n!r}")

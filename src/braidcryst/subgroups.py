@@ -22,7 +22,7 @@ import random
 from functools import cached_property
 from typing import Sequence
 
-from .braidword import BraidWord, PairVector, VerificationError, pair_images, pair_index, pairs
+from .braidword import BraidWord, PairVector, VerificationError, pair_images, pair_offsets, pairs
 from .permutation import CLOSURE_LIMIT, Permutation, Record, StabilizerChain, closure
 from .quotient import QuotientElement, normalize, orbit_sums, power
 
@@ -57,8 +57,8 @@ def holonomy_det(p: Permutation) -> int:
 
 
 class HolonomySubgroup(Record):
-    """A subgroup of S_n given by generators.  Order and membership come from
-    a stabilizer chain; ``elements`` lists the group when it is small enough."""
+    """A subgroup of S_n given by generators.  Its order comes from a
+    stabilizer chain, not kept; ``elements`` lists it when small enough."""
 
     _fields = ("n", "generators")
     n: int
@@ -77,12 +77,6 @@ class HolonomySubgroup(Record):
             n, tuple(Permutation.from_text(n, t) for t in texts)
         )
 
-    @cached_property
-    def chain(self) -> StabilizerChain:
-        """The stabilizer chain that membership and ``torsion_certificate``
-        sift through."""
-        return StabilizerChain(self.n, self.generators)
-
     def _check_listable(self) -> None:
         """Raise ``ValueError`` if the group has more than ``CLOSURE_LIMIT``
         elements, which holds back every walk over all of them."""
@@ -100,13 +94,9 @@ class HolonomySubgroup(Record):
 
     @cached_property
     def order(self) -> int:
-        """The product of the transversal sizes of a stabilizer chain.  Only
-        the number is kept: a subgroup asked just its order, as in
-        :func:`is_bieberbach`, holds no chain."""
+        """The product of the transversal sizes of a stabilizer chain; only
+        the number is kept."""
         return StabilizerChain(self.n, self.generators).order()
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self.chain
 
 
 def is_bieberbach(H: HolonomySubgroup) -> bool:
@@ -132,9 +122,9 @@ def torsion_certificate(H: HolonomySubgroup) -> QuotientElement | None:
 
     if is_bieberbach(H):
         return None
-    rng = random.Random(0)
+    chain, rng = StabilizerChain(H.n, H.generators), random.Random(0)
     while True:
-        p = H.chain.random_element(rng)
+        p = chain.random_element(rng)
         m = p.order()
         odd = m // (m & -m)
         if odd > 1:
@@ -167,20 +157,20 @@ def sublattice_is_torsion_free(
     m = p.order()
     if m < 2 or any(m % d == 0 for d in range(2, m)):
         raise ValueError("coset representative permutation must have prime order")
-    gens = [list(v.coeffs) for v in lattice_gens] + [list(power(coset_rep, m).vec.coeffs)]
     for v in lattice_gens:
         if v.n != coset_rep.n:
             raise ValueError("degree mismatch")
+    gens = [list(v.coeffs) for v in lattice_gens] + [list(power(coset_rep, m).vec.coeffs)]
     # invariance of L1 under the pair action of the coset representative
-    for row in list(gens):
-        moved = PairVector(coset_rep.n, tuple(row)).precompose(p)
-        if not lattice_contains(gens, list(moved.coeffs)):
+    images = pair_images(p)
+    for row in gens:
+        if not lattice_contains(gens, [row[k] for k in images]):
             raise ValueError("lattice is not invariant under the coset action")
 
     # one row per orbit; the unknowns are the multipliers of the generators
-    rows, rhs = [], []
+    off, rows, rhs = pair_offsets(coset_rep.n), [], []
     for orbit, s in orbit_sums(coset_rep):
-        rows.append([2 * sum(g[pair_index(coset_rep.n, i, j)] for (i, j) in orbit) for g in gens])
+        rows.append([2 * sum(g[off[i] + j] for (i, j) in orbit) for g in gens])
         rhs.append(-s)
     return solve_integer(rows, rhs) is None
 
@@ -221,11 +211,11 @@ def preimage_abelianization(H: HolonomySubgroup) -> tuple[int, list[int]]:
                         label[images[P]] = orbits
                         queue.append(images[P])
             orbits += 1
-    Phi = [[0] * orbits for _ in gens]
+    Phi, off = [[0] * orbits for _ in gens], pair_offsets(n)
     for row, s in zip(Phi, gens):
         for orbit, total in orbit_sums(QuotientElement(s, PairVector.zero(n))):
             i, j = orbit[0]
-            row[label[pair_index(n, i, j)]] += total
+            row[label[off[i] + j]] += total
     # a set: the Cayley graph repeats most relator rows, and the
     # elimination is cheaper without the copies
     rows = set()

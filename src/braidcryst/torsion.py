@@ -18,15 +18,10 @@ torsion exists in the quotient), which the tests check exhaustively.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .braidword import BraidWord, PairVector, VerificationError
 from .permutation import Permutation, Record, parse_int
 from .quotient import QuotientElement, mul, normalize, orbit_sums, power, pure
-
-#: Most block torsion elements :func:`torsion_element` keeps; every BlockSpec
-#: with n <= 16 (152 of them) fits.
-TORSION_CACHE_SIZE = 256
 
 
 class BlockSpec(Record):
@@ -106,13 +101,9 @@ def torsion_element_word(spec: BlockSpec) -> BraidWord:
     return word
 
 
-@lru_cache(maxsize=TORSION_CACHE_SIZE)
 def torsion_element(spec: BlockSpec) -> QuotientElement:
-    """Product of the block elements; order = lcm of the block lengths.
-
-    Built once per process for each of the last ``TORSION_CACHE_SIZE``
-    specs; the result is immutable, so callers share it.
-    """
+    """Product of the block elements; order = lcm of the block lengths,
+    normalized from :func:`torsion_element_word` on each call."""
     return normalize(torsion_element_word(spec))
 
 

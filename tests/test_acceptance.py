@@ -286,7 +286,7 @@ def _criterion_9():
         [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     ]
     assert by_name["three_cycle"]["det_spectrum"] == [1]
-    assert holonomy_det(Permutation.transposition(3, 1, 2)) == -1
+    assert holonomy_det(Permutation.from_cycles(3, [(1, 2)])) == -1
     assert holonomy_det(Permutation.from_text(3, "(1,3,2)")) == 1
     # designated finite-index subgroups: L torsion free, L' not
     assert report["bieberbach_example"]["torsion_free"] is True

@@ -100,7 +100,7 @@ def test_generator_conjugation_table():
     # linking sweep sees exactly that
     for n in range(3, 7):
         for k in range(1, n):
-            tau = Permutation.transposition(n, k, k + 1)
+            tau = Permutation.from_cycles(n, [(k, k + 1)])
             for (i, j) in pairs(n):
                 conj = (
                     BraidWord(n, (k,))

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import braidcryst
 from braidcryst.cli import main
+from braidcryst.permutation import StabilizerChain
 from braidcryst.quotient import QuotientElement
 from braidcryst.subgroups import HolonomySubgroup
 
@@ -656,6 +657,7 @@ MALFORMED_ELEMENTS = [
     '{"n":1,"perm":[1]}',
     '{"perm":[1,2]}',
     '{"n":3}',
+    '{"n":3,"perm":[1,2,3],"vecc":{"1,2":1}}',
     '{"n": 3',
 ]
 
@@ -668,6 +670,12 @@ def test_malformed_element_json_gives_one_error_line():
     for text in MALFORMED_ELEMENTS[:-1]:  # the last one is not JSON at all
         with pytest.raises(ValueError):
             QuotientElement.from_json(json.loads(text))
+
+
+def test_misspelt_element_key_is_named_not_read_as_zero():
+    assert _call("nf", '{"n":3,"perm":[1,2,3],"vecc":{"1,2":1}}') == (
+        1, "", ["error: unknown element key 'vecc': expected n, perm and vec"]
+    )
 
 
 def test_deeply_nested_element_gives_one_error_line():
@@ -951,7 +959,8 @@ def test_bieberbach_witness_is_a_checked_odd_prime_order_element(capsys, n, gene
     assert q >= 3 and all(q % d for d in range(2, q))
     g = QuotientElement.from_json(data["witness"]["element"])
     assert g.perm.order() == q
-    assert g.perm in HolonomySubgroup.from_cycle_texts(n, generators)
+    H = HolonomySubgroup.from_cycle_texts(n, generators)
+    assert g.perm in StabilizerChain(n, H.generators)
     # the element is pasted back into the order verb
     code, order_out, _ = run(capsys, "--json", "order", json.dumps(data["witness"]["element"]))
     assert code == 0 and json.loads(order_out) == {"order": q}

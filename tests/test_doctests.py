@@ -127,15 +127,42 @@ def _workload_functions(path):
     }
 
 
+ROOT = Path(braidcryst.__file__).parents[2]
+
+
+def _code_read():
+    """The names read by code: the package, the demos, and the benchmark
+    except ``tracing.py``, which only wraps names and so calls none."""
+    bench = [path for path in sorted((ROOT / "bench").glob("*.py")) if path.name != "tracing.py"]
+    paths = [*PACKAGE_PATHS, *sorted((ROOT / "demos").glob("*.py")), *bench]
+    return set().union(*map(_code_references, paths))
+
+
 def test_every_export_has_a_caller_or_reproduces_the_paper():
     # a public name must be read by code: in the package beyond its own
     # definition, in a demo, or in the benchmark, whose ops also name their
-    # function by a string; the tracer only wraps names, so it calls none
-    root = Path(braidcryst.__file__).parents[2]
-    bench = [path for path in sorted((root / "bench").glob("*.py")) if path.name != "tracing.py"]
-    paths = [*PACKAGE_PATHS, *sorted((root / "demos").glob("*.py")), *bench]
-    read = set().union(*map(_code_references, paths), _workload_functions(root / "bench" / "workloads.py"))
+    # function by a string
+    read = _code_read() | _workload_functions(ROOT / "bench" / "workloads.py")
     unused = {name for names in braidcryst.EXPORTS.values() for name in names} - read
     assert sorted(unused - PAPER_ONLY_EXPORTS) == []
     # an allow-list entry that gains a caller leaves the list
     assert sorted(PAPER_ONLY_EXPORTS - unused) == []
+
+
+def test_every_public_member_has_a_reader():
+    # a public method or property of a package class must be read by code,
+    # as an export must.  The counter goes by name, so a member passes when
+    # its name is read on any object (every to_json passes once one is
+    # read), and fields and dunder methods such as __contains__ are not
+    # listed: those need a check by hand
+    read = _code_read()
+    unread = [
+        f"{cls.name}.{node.name}"
+        for path in PACKAGE_PATHS
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_") and node.name not in read
+    ]
+    assert sorted(unread) == []

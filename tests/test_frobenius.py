@@ -544,14 +544,6 @@ def test_standardize_rejects_wrong_degree():
         standardize_frobenius(g, g)
 
 
-def test_standardization_result_json():
-    w = build_frobenius()
-    res = standardize_frobenius(w.x, w.v)
-    data = res.to_json()
-    assert data["power"] == 1
-    assert "conjugator" in data
-
-
 def test_frozen_orbit_tables():
     from braidcryst.quotient import basis_orbits
 

@@ -1,6 +1,7 @@
 """Pair-basis orbit tables: closed form vs direct enumeration."""
 
 import random
+import sys
 from collections import Counter
 
 from braidcryst.braidword import BraidWord, pair_index, pairs
@@ -15,6 +16,26 @@ def test_closed_form_matches_enumeration_everywhere():
             assert closed_form_orbits(spec).orbits == enumerate_orbits(
                 torsion_element(spec)
             ).orbits
+
+
+def test_closed_form_orbits_are_formula_only(monkeypatch):
+    # with no way to build or multiply an element, every table for n <= 12
+    # still comes out equal to the enumerated one
+    specs = [spec for n in range(2, 13) for spec in iter_block_specs(n)]
+    expected = [enumerate_orbits(torsion_element(spec)).orbits for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("an orbit table built or multiplied an element")
+
+    stubbed = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "braidcryst":
+            for attr in ("torsion_element", "normalize", "mul"):
+                if attr in vars(module):
+                    monkeypatch.setattr(module, attr, refuse)
+                    stubbed.add(attr)
+    assert stubbed == {"torsion_element", "normalize", "mul"}
+    assert [closed_form_orbits(spec).orbits for spec in specs] == expected
 
 
 def test_orbit_tables_partition_the_basis():
