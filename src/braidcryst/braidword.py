@@ -113,16 +113,18 @@ class BraidWord(Record):
         return " ".join(map(str, self.letters))
 
 
-class PairVector:
+class PairVector(Record):
     """Integer vector indexed by strand pairs in lexicographic order.
 
     The coefficients are stored as signed bytes when every entry lies in
     ``[-128, 127]`` and as the exact tuple otherwise.  The choice depends only
     on the values, so equal vectors have equal storage; ``coeffs`` is always a
     tuple of ints, and loops read the values once through :meth:`tolist`.
+    It is a :class:`Record` on the fields ``n`` and ``coeffs``.
     """
 
     __slots__ = ("n", "_data")
+    _fields = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: Sequence[int]) -> None:
         if len(coeffs) != n * (n - 1) // 2:
@@ -135,12 +137,6 @@ class PairVector:
                 raise TypeError("pair vector coefficients must be integers") from None
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_data", data)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"PairVector is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        return PairVector, (self.n, self.coeffs)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -156,11 +152,7 @@ class PairVector:
             return NotImplemented
         return self.n == other.n and self._data == other._data
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"PairVector(n={self.n!r}, coeffs={self.coeffs!r})"
+    __hash__ = Record.__hash__
 
     @staticmethod
     def zero(n: int) -> "PairVector":
@@ -180,8 +172,7 @@ class PairVector:
         return PairVector(n, coeffs)
 
     def coefficient(self, i: int, j: int) -> int:
-        c = self._data[pair_index(self.n, i, j)]
-        return c - 256 if c > 127 and type(self._data) is bytes else c
+        return self.coeffs[pair_index(self.n, i, j)]
 
     def support(self) -> dict[tuple[int, int], int]:
         return {

@@ -225,11 +225,11 @@ def _cmd_holonomy(args) -> None:
 
 def _cmd_bieberbach(args) -> None:
     H = bc.HolonomySubgroup.from_cycle_texts(_need_n(args), args.generators)
-    verdict = bc.is_bieberbach(H)
-    payload = {"order": H.order, "bieberbach": verdict}
-    text = f"holonomy order {H.order}: {'Bieberbach' if verdict else 'has torsion'}"
-    if not verdict:
-        g = bc.torsion_certificate(H)
+    chain = bc.StabilizerChain(H.n, H.generators)
+    g = bc.torsion_certificate(chain)
+    payload = {"order": chain.order(), "bieberbach": g is None}
+    text = f"holonomy order {chain.order()}: {'Bieberbach' if g is None else 'has torsion'}"
+    if g is not None:
         q = g.perm.order()
         payload["witness"] = {"order": q, "element": g.to_json()}
         text += f"\nwitness of order {q}: {g}"

@@ -29,11 +29,60 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-class Permutation:
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in ``_fields``.  They are bound positionally
+    or by keyword, and equality (same class, equal fields), hashing, ``repr``
+    and pickling go by them in that order; no attribute can be set or deleted
+    after construction.  A subclass that validates its fields writes its own
+    ``__init__`` and binds them with ``object.__setattr__``; one that stores
+    another encoding names properties in ``_fields`` that decode it.  A class
+    body that defines ``__eq__`` without ``__hash__`` gets ``__hash__ =
+    None``, so a subclass with a faster ``__eq__`` keeps ``Record.__hash__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        values = {**dict(zip(names, args)), **kwargs}
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Permutation(Record):
     """A bijection of ``{1..n}``; ``images`` is the tuple ``p(1), ..., p(n)``.
 
     The images are stored as bytes when ``n < 256`` and as the tuple
-    otherwise; equality, hashing and ``repr`` are those of the image tuple.
+    otherwise; it is a :class:`Record` on the one field ``images``.
 
     >>> p = Permutation.from_text(3, "(1,3,2)")
     >>> p(1), p(3), p(2)
@@ -43,6 +92,7 @@ class Permutation:
     """
 
     __slots__ = ("_images",)
+    _fields = ("images",)
 
     def __init__(self, images: tuple[int, ...]) -> None:
         n = len(images)
@@ -50,12 +100,6 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{n}: {images!r}")
         # operator.index rejects what bytes() rejects below 256 points (1.0, say)
         object.__setattr__(self, "_images", bytes(images) if n < 256 else tuple(map(operator.index, images)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Permutation is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        return Permutation, (self.images,)
 
     @property
     def images(self) -> tuple[int, ...]:
@@ -70,11 +114,7 @@ class Permutation:
             return NotImplemented
         return self._images == other._images
 
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
-    def __repr__(self) -> str:
-        return f"Permutation(images={self.images!r})"
+    __hash__ = Record.__hash__
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -181,52 +221,6 @@ class Permutation:
         if not cycles:
             return "()"
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
-
-
-class Record:
-    """Base of the immutable value classes.
-
-    A subclass names its fields in ``_fields``.  They are bound positionally
-    or by keyword, and equality (same class, equal fields), hashing, ``repr``
-    and pickling go by them in that order; no attribute can be set after
-    construction.  A subclass that validates its fields writes its own
-    ``__init__`` and binds them with ``object.__setattr__``.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        names = self._fields
-        values = {**dict(zip(names, args)), **kwargs}
-        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
-            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
-        for name in names:
-            object.__setattr__(self, name, values[name])
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
 
 
 def conjugating_permutation(

@@ -89,8 +89,7 @@ class QuotientElement(Record):
             return NotImplemented
         return self.perm == other.perm and self.vec == other.vec
 
-    def __hash__(self) -> int:
-        return hash((self.perm, self.vec))
+    __hash__ = Record.__hash__
 
     @property
     def n(self) -> int:

@@ -109,20 +109,21 @@ def is_bieberbach(H: HolonomySubgroup) -> bool:
     return order & (order - 1) == 0
 
 
-def torsion_certificate(H: HolonomySubgroup) -> QuotientElement | None:
-    """An element of odd prime order ``q`` in the preimage of ``H``; ``None``
-    exactly when :func:`is_bieberbach`.
+def torsion_certificate(chain: StabilizerChain) -> QuotientElement | None:
+    """An element of odd prime order ``q`` in the preimage of the group ``H``
+    that ``chain`` holds; ``None`` exactly when ``|H|`` is a power of 2,
+    that is, when :func:`is_bieberbach` holds.
 
-    Uniform draws from the stabilizer chain, with a fixed seed so the answer
-    is the same on every run, stop at the first element whose order has an
-    odd prime factor ``q``; at least ``1/n`` of ``H`` qualifies
+    Uniform draws from the chain, with a fixed seed so the answer is the
+    same on every run, stop at the first element whose order has an odd
+    prime factor ``q``; at least ``1/n`` of ``H`` qualifies
     (Isaacs-Kantor-Spaltenstein, J. Algebra 176, 1995).  Its power of order
     ``q`` is lifted by :func:`torsion_witness`, which checks ``g^q == 1``."""
+    order, rng = chain.order(), random.Random(0)
+    if order & (order - 1) == 0:
+        return None
     from .torsion import torsion_witness
 
-    if is_bieberbach(H):
-        return None
-    chain, rng = StabilizerChain(H.n, H.generators), random.Random(0)
     while True:
         p = chain.random_element(rng)
         m = p.order()

@@ -926,13 +926,18 @@ def test_size_guard_gives_one_error_line(n):
     ]
 
 
-def test_bieberbach_decides_large_symmetric_groups(capsys):
+def test_bieberbach_decides_large_symmetric_groups(capsys, monkeypatch):
+    # one stabilizer chain gives the order, the verdict and the certificate
+    chains = []
+    build = StabilizerChain.__init__
+    monkeypatch.setattr(StabilizerChain, "__init__", lambda self, *args: chains.append(args) or build(self, *args))
     for n, seconds in ((11, 1.0), (16, 2.0)):
         full_cycle = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+        chains.clear()
         start = time.perf_counter()
         code, out, _ = run(capsys, "--n", str(n), "bieberbach", full_cycle, "(1,2)")
         elapsed = time.perf_counter() - start
-        assert code == 0
+        assert code == 0 and len(chains) == 1
         assert out.splitlines()[0] == f"holonomy order {math.factorial(n)}: has torsion"
         assert elapsed < seconds
     assert math.factorial(11) == 39916800

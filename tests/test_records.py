@@ -22,6 +22,12 @@ H_TEXT = "HolonomySubgroup(n=3, generators=(Permutation(images=(2, 3, 1)),))"
 # that must fail with the given error text; the repr strings are those the
 # earlier dataclass versions of these classes printed
 CASES = [
+    (Permutation, {"images": (2, 3, 1)}, "Permutation(images=(2, 3, 1))", {"images": (1, 2, 3)},
+     [({"images": (1, 1, 2)}, "not a permutation of 1..3: (1, 1, 2)")]),
+    # coefficients past a signed byte are stored as a tuple, not as bytes
+    (PairVector, {"n": 3, "coeffs": (1, 0, -200)}, "PairVector(n=3, coeffs=(1, 0, -200))",
+     {"coeffs": (0, 0, 0)},
+     [({"n": 3, "coeffs": (1,)}, "coefficient count does not match n")]),
     (BraidWord, {"n": 3, "letters": (1, -2)}, "BraidWord(n=3, letters=(1, -2))",
      {"letters": (1,)},
      [({"n": 1, "letters": ()}, "need at least 2 strands"),
@@ -71,8 +77,10 @@ def test_value_class_behaviour(cls, fields, text, changed, invalid):
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
-    with pytest.raises(AttributeError):
-        delattr(value, next(iter(fields)))
+    # neither a field nor the slot that stores it can be deleted
+    for name in {*fields, *cls.__slots__}:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
     assert repr(value) == text
 
     restored = pickle.loads(pickle.dumps(value))

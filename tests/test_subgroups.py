@@ -115,7 +115,7 @@ def test_membership_sifts_like_listing():
 def test_torsion_certificate():
     for n, gens in generator_sets(23, 300):
         H = HolonomySubgroup(n, gens)
-        g = torsion_certificate(H)
+        g = torsion_certificate(StabilizerChain(H.n, H.generators))
         if is_bieberbach(H):
             assert g is None
             continue
@@ -123,7 +123,7 @@ def test_torsion_certificate():
         assert q >= 3 and all(q % d for d in range(2, q))
         assert g.perm in StabilizerChain(n, gens)
         assert element_order(g) == q
-        assert torsion_certificate(HolonomySubgroup(n, gens)) == g
+        assert torsion_certificate(StabilizerChain(n, gens)) == g
 
 
 def test_certificate_check_survives_optimize():
@@ -135,10 +135,11 @@ import braidcryst.subgroups as s
 import braidcryst.torsion as t
 from braidcryst import VerificationError
 H = s.HolonomySubgroup.from_cycle_texts(5, ["(1,2,3)", "(4,5)"])
-print(sys.flags.optimize, s.torsion_certificate(H) is not None)
+chain = s.StabilizerChain(H.n, H.generators)
+print(sys.flags.optimize, s.torsion_certificate(chain) is not None)
 t.mul = lambda a, b: b
 try:
-    s.torsion_certificate(H)
+    s.torsion_certificate(chain)
 except VerificationError:
     print("raised")
 """
