@@ -37,6 +37,14 @@ def pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+@lru_cache(maxsize=64)
+def pair_offsets(n: int) -> tuple[int, ...]:
+    """Row offsets: the pair ``(a, b)``, ``a < b``, sits at position
+    ``pair_offsets(n)[a] + b`` of ``pairs(n)``.  Cached like :func:`pairs`;
+    the hot loops index pairs by them."""
+    return (0,) + tuple((a - 1) * (2 * n - a) // 2 - a - 1 for a in range(1, n + 1))
+
+
 def pair_index(n: int, i: int, j: int) -> int:
     """Position of ``(i, j)`` in ``pairs(n)``.
 
@@ -45,14 +53,7 @@ def pair_index(n: int, i: int, j: int) -> int:
     """
     if not 1 <= i < j <= n:
         raise ValueError(f"bad pair ({i},{j}) for n={n}")
-    return (i - 1) * (2 * n - i) // 2 + (j - i) - 1
-
-
-@lru_cache(maxsize=64)
-def pair_offsets(n: int) -> tuple[int, ...]:
-    """Row offsets with ``pair_index(n, a, b) == pair_offsets(n)[a] + b`` for
-    ``a < b``, cached like :func:`pairs`; the hot loops index pairs by them."""
-    return (0,) + tuple((a - 1) * (2 * n - a) // 2 - a - 1 for a in range(1, n + 1))
+    return pair_offsets(n)[i] + j
 
 
 def pair_images(p: Permutation) -> list[int]:
@@ -119,8 +120,8 @@ class PairVector(Record):
     The coefficients are stored as signed bytes when every entry lies in
     ``[-128, 127]`` and as the exact tuple otherwise.  The choice depends only
     on the values, so equal vectors have equal storage; ``coeffs`` is always a
-    tuple of ints, and loops read the values once through :meth:`tolist`.
-    It is a :class:`Record` on the fields ``n`` and ``coeffs``.
+    tuple of ints.  It is a :class:`Record` on the fields ``n`` and
+    ``coeffs``, compared and hashed by ``n`` and the storage.
     """
 
     __slots__ = ("n", "_data")
@@ -142,17 +143,6 @@ class PairVector(Record):
     def coeffs(self) -> tuple[int, ...]:
         data = self._data
         return data if type(data) is tuple else struct.unpack(f"{len(data)}b", data)
-
-    def tolist(self) -> list[int]:
-        """The coefficients as a fresh list."""
-        return list(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairVector):
-            return NotImplemented
-        return self.n == other.n and self._data == other._data
-
-    __hash__ = Record.__hash__
 
     @staticmethod
     def zero(n: int) -> "PairVector":
@@ -176,7 +166,7 @@ class PairVector(Record):
 
     def support(self) -> dict[tuple[int, int], int]:
         return {
-            p: c for p, c in zip(pairs(self.n), self.tolist()) if c != 0
+            p: c for p, c in zip(pairs(self.n), self.coeffs) if c != 0
         }
 
     def is_zero(self) -> bool:
@@ -187,7 +177,7 @@ class PairVector(Record):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("degree mismatch")
-        return PairVector(self.n, [a + b for a, b in zip(self.tolist(), other.tolist())])
+        return PairVector(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "PairVector") -> "PairVector":
         if not isinstance(other, PairVector):
@@ -195,16 +185,16 @@ class PairVector(Record):
         return self + (-other)
 
     def __neg__(self) -> "PairVector":
-        return PairVector(self.n, [-a for a in self.tolist()])
+        return PairVector(self.n, [-a for a in self.coeffs])
 
     def scaled(self, c: int) -> "PairVector":
-        return PairVector(self.n, [c * a for a in self.tolist()])
+        return PairVector(self.n, [c * a for a in self.coeffs])
 
     def precompose(self, p: Permutation) -> "PairVector":
         """The vector ``w`` with ``w[P] = self[pair_action(p, P)]``."""
         if p.n != self.n:
             raise ValueError("degree mismatch")
-        v = self.tolist()
+        v = self.coeffs
         return PairVector(self.n, [v[k] for k in pair_images(p)])
 
     def to_json(self) -> dict[str, int]:

@@ -33,17 +33,22 @@ class Record:
     """Base of the immutable value classes.
 
     A subclass names its fields in ``_fields``.  They are bound positionally
-    or by keyword, and equality (same class, equal fields), hashing, ``repr``
-    and pickling go by them in that order; no attribute can be set or deleted
-    after construction.  A subclass that validates its fields writes its own
-    ``__init__`` and binds them with ``object.__setattr__``; one that stores
-    another encoding names properties in ``_fields`` that decode it.  A class
-    body that defines ``__eq__`` without ``__hash__`` gets ``__hash__ =
-    None``, so a subclass with a faster ``__eq__`` keeps ``Record.__hash__``.
+    or by keyword, and ``repr`` and pickling go by them in that order; no
+    attribute can be set or deleted after construction.  Equality (same
+    class) and hashing go by the storage: the attributes in the subclass's
+    own ``__slots__``, or its fields when it declares none.  That needs one
+    invariant, that equal values have equal storage.  A subclass that
+    validates its fields writes its own ``__init__`` and binds them with
+    ``object.__setattr__``; one that stores another encoding names
+    properties in ``_fields`` that decode it.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = operator.attrgetter(*(cls.__dict__.get("__slots__") or cls._fields))
 
     def __init__(self, *args, **kwargs) -> None:
         names = self._fields
@@ -65,10 +70,10 @@ class Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._key(self) == other._key(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __reduce__(self):
         return type(self), self._values()
@@ -82,7 +87,8 @@ class Permutation(Record):
     """A bijection of ``{1..n}``; ``images`` is the tuple ``p(1), ..., p(n)``.
 
     The images are stored as bytes when ``n < 256`` and as the tuple
-    otherwise; it is a :class:`Record` on the one field ``images``.
+    otherwise, so equal permutations have equal storage; it is a
+    :class:`Record` on the one field ``images``.
 
     >>> p = Permutation.from_text(3, "(1,3,2)")
     >>> p(1), p(3), p(2)
@@ -108,13 +114,6 @@ class Permutation(Record):
     @property
     def n(self) -> int:
         return len(self._images)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self._images == other._images
-
-    __hash__ = Record.__hash__
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -162,16 +161,12 @@ class Permutation(Record):
         return Permutation(tuple(other._images[i - 1] for i in self._images))
 
     def __pow__(self, m: int) -> "Permutation":
-        if m < 0:
-            return self.inverse() ** (-m)
-        out, base = Permutation.identity(self.n), self
-        while m:
-            if m & 1:
-                out = out * base
-            m >>= 1
-            if m:
-                base = base * base
-        return out
+        """``p^m`` for any integer ``m``, read off the cycles in one pass."""
+        images = list(range(1, self.n + 1))
+        for c in self.cycles():
+            for i, a in enumerate(c):
+                images[a - 1] = c[(i + m) % len(c)]
+        return Permutation(tuple(images))
 
     def inverse(self) -> "Permutation":
         images = [0] * self.n

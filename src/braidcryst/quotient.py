@@ -83,14 +83,6 @@ class QuotientElement(Record):
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "vec", vec)
 
-    # the group law builds and compares elements at every step
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.perm == other.perm and self.vec == other.vec
-
-    __hash__ = Record.__hash__
-
     @property
     def n(self) -> int:
         return self.perm.n
@@ -176,19 +168,19 @@ def mul(g: QuotientElement, h: QuotientElement) -> QuotientElement:
     if g.n != h.n:
         raise ValueError("degree mismatch")
     p, q = g.perm.images, (0,) + h.perm.images
-    off, hv = pair_offsets(g.n), h.vec.tolist()
+    off, hv = pair_offsets(g.n), h.vec.coeffs
     moved: list[int] = []
     for i, a in enumerate(p):
         oa, qa = off[a], q[a]
         moved += [hv[oa + b] if a < b else hv[off[b] + a] + (qa < q[b]) for b in p[i + 1:]]
-    vec = PairVector(g.n, [x + y for x, y in zip(g.vec.tolist(), moved)])
+    vec = PairVector(g.n, [x + y for x, y in zip(g.vec.coeffs, moved)])
     return QuotientElement(g.perm * h.perm, vec)
 
 
 def inverse(g: QuotientElement) -> QuotientElement:
     """``g^-1`` in closed form: ``w[P] = -v[Q] - [p inverts Q]``."""
     q = g.perm.inverse()
-    off, v, images = pair_offsets(g.n), g.vec.tolist(), q.images
+    off, v, images = pair_offsets(g.n), g.vec.coeffs, q.images
     w: list[int] = []
     for i, c in enumerate(images):
         oc = off[c]
@@ -295,7 +287,7 @@ def _theta_walk(
     """
     if any(s.perm != t.perm for s, t in zip(sources, targets)):
         return None
-    moves = [(pair_images(s.perm), (t.vec - s.vec).tolist()) for s, t in zip(sources, targets)]
+    moves = [(pair_images(s.perm), (t.vec - s.vec).coeffs) for s, t in zip(sources, targets)]
     theta: list = [None] * len(moves[0][1])
     for start in range(len(theta)):
         if theta[start] is not None:

@@ -9,7 +9,8 @@ raise ``TypeError``, ragged rows raise ``ValueError``).  Results are always
 fresh ``list[list[int]]`` (matrices) or ``list[int]`` (vectors).
 
 One Hermite elimination serves every function: ``hnf`` directly (rows, as
-``U @ M = H``), the lattice functions with no transform, ``solve_integer``
+``U @ M = H``, carrying the transform as identity columns beside ``M``),
+the lattice functions with no transform, ``solve_integer`` through ``hnf``
 on the transpose, and ``abelianization`` on rows and columns in turn.  Its
 pivot is the row of least nonzero ``|entry|`` in the column, and the rows
 below lose nearest-integer multiples of it, which keeps transforms small
@@ -71,12 +72,12 @@ def identity_matrix(n: int) -> Matrix:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-def _echelon(H: Matrix, U: Matrix | None) -> None:
-    """Bring ``H`` to Hermite normal form in place, applying every row
-    operation to ``U`` as well unless it is ``None``."""
+def _echelon(H: Matrix, width: int) -> None:
+    """Bring the first ``width`` columns of ``H`` to Hermite normal form in
+    place; the row operations carry the columns past them along."""
     m = len(H)
     row = 0
-    for col in range(_width(H)):
+    for col in range(width):
         if row == m:
             break
         while True:
@@ -86,8 +87,6 @@ def _echelon(H: Matrix, U: Matrix | None) -> None:
             pivot = min(live, key=lambda r: abs(H[r][col]))
             if pivot != row:
                 H[row], H[pivot] = H[pivot], H[row]
-                if U is not None:
-                    U[row], U[pivot] = U[pivot], U[row]
             if len(live) == 1:
                 break
             piv = H[row][col]
@@ -96,20 +95,14 @@ def _echelon(H: Matrix, U: Matrix | None) -> None:
                 if a:
                     q = (2 * a + piv) // (2 * piv)  # nearest integer to a / piv
                     H[r] = _sub_multiple(H[r], q, H[row])
-                    if U is not None:
-                        U[r] = _sub_multiple(U[r], q, U[row])
         if not live:
             continue
         if H[row][col] < 0:
             H[row] = [-a for a in H[row]]
-            if U is not None:
-                U[row] = [-a for a in U[row]]
         for r in range(row):
             q = H[r][col] // H[row][col]
             if q:
                 H[r] = _sub_multiple(H[r], q, H[row])
-                if U is not None:
-                    U[r] = _sub_multiple(U[r], q, U[row])
         row += 1
 
 
@@ -120,12 +113,14 @@ def hnf(M: MatrixLike) -> tuple[Matrix, Matrix]:
     unimodular, ``H`` in row echelon form with positive pivots and the
     entries above each pivot reduced into ``[0, pivot)``.  ``H`` is the
     unique HNF of the row lattice of ``M``; ``U`` is one valid transform,
-    not a canonical one.
+    not a canonical one.  Both come from one elimination of ``[M | I]``:
+    the identity columns record the row operations.
     """
-    H = as_int_matrix(M)
-    U = identity_matrix(len(H))
-    _echelon(H, U)
-    return H, U
+    M = as_int_matrix(M)
+    width = _width(M)
+    HU = [row + e for row, e in zip(M, identity_matrix(len(M)))]
+    _echelon(HU, width)
+    return [row[:width] for row in HU], [row[width:] for row in HU]
 
 
 def _transpose(M: Matrix, width: int) -> Matrix:
@@ -143,9 +138,9 @@ def _smith(D: Matrix, width: int) -> None:
     fix lowers ``d[i]`` to ``gcd(d[i], d[i + 1])`` and keeps ``d[:i]``."""
     m = len(D)
     while True:
-        _echelon(D, None)
+        _echelon(D, width)
         T = _transpose(D, width)  # column operations on D are row operations on T
-        _echelon(T, None)
+        _echelon(T, m)
         D[:] = _transpose(T, m)
         if any(a for i, row in enumerate(T) for j, a in enumerate(row) if i != j):
             continue
@@ -204,9 +199,7 @@ def solve_integer(
     b = _int_vector(b)
     if len(b) != len(M):
         raise ValueError("right-hand side length does not match")
-    H = _transpose(M, n)
-    U = identity_matrix(n)
-    _echelon(H, U)
+    H, U = hnf(_transpose(M, n))
     rank = sum(1 for row in H if any(row))
     q = _reduce(H[:rank], b)
     if q is None:
@@ -221,7 +214,7 @@ def solve_integer(
 def row_lattice_hnf(rows: MatrixLike) -> Matrix:
     """Canonical basis (nonzero HNF rows) of the lattice spanned by ``rows``."""
     H = as_int_matrix(rows)
-    _echelon(H, None)
+    _echelon(H, _width(H))
     return [row for row in H if any(row)]
 
 

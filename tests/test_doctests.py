@@ -84,9 +84,8 @@ PACKAGE_PATHS = sorted(Path(braidcryst.__file__).parent.glob("*.py"))
 
 
 def test_only_record_defines_value_semantics():
-    # immutability, pickling and repr live in permutation.Record alone.  A
-    # class body that defines __eq__ without __hash__ gets __hash__ = None,
-    # so a class with its own __eq__ must bind a hash again
+    # immutability, equality, hashing, pickling and repr live in
+    # permutation.Record alone
     classes = [
         value
         for path in PACKAGE_PATHS if path.stem != "__init__"
@@ -94,12 +93,11 @@ def test_only_record_defines_value_semantics():
         if isinstance(value, type) and value.__module__ == f"braidcryst.{path.stem}"
     ]
     assert len(classes) >= 10
-    redefined = {"__setattr__", "__delattr__", "__reduce__", "__repr__"}
+    redefined = {"__setattr__", "__delattr__", "__reduce__", "__repr__", "__eq__", "__hash__"}
     assert sorted(
         f"{cls.__name__}.{name}" for cls in classes if cls.__name__ != "Record"
         for name in redefined & vars(cls).keys()
     ) == []
-    assert sorted(cls.__name__ for cls in classes if "__eq__" in vars(cls) and cls.__hash__ is None) == []
 
 
 def test_package_has_no_unused_private_definition():

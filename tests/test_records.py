@@ -66,10 +66,12 @@ def test_value_class_behaviour(cls, fields, text, changed, invalid):
     assert cls(*fields.values()) == value
     assert tuple(getattr(value, name) for name in fields) == tuple(fields.values())
 
-    # equality and hashing go by the fields, in order
+    # equality and hashing go by the storage: the class's own slots, or its
+    # fields when it declares none, one slot hashing as itself
     twin = cls(**fields)
     assert twin == value and not twin != value
-    assert hash(twin) == hash(value) == hash(tuple(fields.values()))
+    storage = tuple(getattr(value, name) for name in vars(cls).get("__slots__") or fields)
+    assert hash(twin) == hash(value) == hash(storage if len(storage) > 1 else storage[0])
     other = cls(**{**fields, **changed})
     assert other != value
     assert value != tuple(fields.values()) and value != object()
@@ -105,3 +107,26 @@ def test_value_class_has_no_instance_dict(cls):
     value = cls(**fields)
     assert cls.__slots__ == cls._fields
     assert not hasattr(value, "__dict__")
+
+
+def test_equality_and_hashing_never_decode_storage(monkeypatch):
+    # the compact values compare and hash their storage as it is: with the
+    # decoding properties broken, ==, hash and set membership still work
+    p, v = Permutation((2, 3, 1)), PairVector(3, (1, 0, -1))
+    g = QuotientElement(Permutation((2, 1, 3)), PairVector(3, (1, 0, -200)))
+    triples = [
+        (p, Permutation((2, 3, 1)), Permutation((1, 3, 2))),
+        (v, PairVector(3, [1, 0, -1]), PairVector(3, (1, 0, 1))),
+        (g, QuotientElement(Permutation((2, 1, 3)), PairVector(3, (1, 0, -200))),
+         QuotientElement(Permutation((2, 1, 3)), PairVector(3, (1, 0, 200)))),
+    ]
+
+    def decode(self):
+        raise AssertionError("equality decoded the storage")
+
+    monkeypatch.setattr(Permutation, "images", property(decode))
+    monkeypatch.setattr(PairVector, "coeffs", property(decode))
+    for value, twin, other in triples:
+        assert value == twin and value != other
+        assert hash(value) == hash(twin)
+        assert twin in {value} and other not in {value}

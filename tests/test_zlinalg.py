@@ -192,19 +192,20 @@ def test_solve_integer_matches_sympy_smith_decomposition():
 
 
 def test_solve_integer_check_raises_when_planted_false(monkeypatch):
-    echelon = zlinalg._echelon
+    transform = zlinalg.hnf
     with monkeypatch.context() as patch:
         # wrong quotients: the particular solution misses b
         patch.setattr(zlinalg, "_reduce", lambda basis, v: [1] * len(basis))
         with pytest.raises(VerificationError):
             solve_integer([[2, 4]], [6])
 
-    def bent_kernel(H, U):
-        echelon(H, U)
+    def bent_kernel(M):
+        H, U = transform(M)
         U[-1][0] += 1
+        return H, U
 
     with monkeypatch.context() as patch:
-        patch.setattr(zlinalg, "_echelon", bent_kernel)
+        patch.setattr(zlinalg, "hnf", bent_kernel)
         with pytest.raises(VerificationError):
             solve_integer([[2, 4]], [6])
 
