@@ -150,9 +150,7 @@ class PairVector(Record):
 
     @staticmethod
     def basis(n: int, i: int, j: int) -> "PairVector":
-        coeffs = [0] * (n * (n - 1) // 2)
-        coeffs[pair_index(n, i, j)] = 1
-        return PairVector(n, coeffs)
+        return PairVector.from_pairs(n, {(i, j): 1})
 
     @staticmethod
     def from_pairs(n: int, data: Mapping[tuple[int, int], int]) -> "PairVector":
@@ -231,9 +229,10 @@ def crossing_counts(word: BraidWord) -> tuple[list[int], list[int]]:
     strand at position ``pos``) and, per strand pair in lex order, the signed
     number of times the pair crosses."""
     n = word.n
+    # the pair-sized list first, so a huge n fails fast with MemoryError
+    counts = [0] * (n * (n - 1) // 2)
     off = pair_offsets(n)
     order = list(range(1, n + 1))
-    counts = [0] * (n * (n - 1) // 2)
     for e in word.letters:
         k = abs(e)
         a, b = order[k - 1], order[k]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .braidword import BraidWord, PairVector, VerificationError
-from .permutation import Permutation, Record, closure
+from .permutation import Record, closure
 from .quotient import (
     QuotientElement,
     conjugate,
@@ -38,10 +38,6 @@ N_STRANDS = 7
 X_WORD = "2 -1 5 -4"
 Y_WORD = "2 3 6 5 4 -3 -2 -1 -3 -2"
 
-BETA = Permutation.from_text(7, "(1,2,3)(4,5,6)")
-ALPHA = Permutation.from_text(7, "(1,3,4,2,5,6,7)")
-
-
 class NotASolution(ValueError):
     """The offset vector does not repair the Frobenius relations."""
 
@@ -52,7 +48,8 @@ class NotFrobenius(ValueError):
 
 @lru_cache(maxsize=1)
 def build_xy() -> tuple[QuotientElement, QuotientElement]:
-    """Normal forms of the two seed words; perms are BETA and ALPHA.
+    """Normal forms of the two seed words, over ``(1,2,3)(4,5,6)`` and
+    ``(1,3,4,2,5,6,7)``.
 
     Built once per process; every caller shares the same immutable pair.
     """
@@ -148,7 +145,7 @@ def solve_family() -> SolutionFamily:
     they differ by a 1-cocycle in ``Z^21``, which F21 permutes freely; as
     ``H^1(F21, Z^21) = 0`` (Brown, GTM 87, III.5 and III.10) it is the
     coboundary of a theta constant on the 7 orbits of x, which moves v0 by
-    ``theta - ALPHA.theta``, zero only for theta constant on all 21 pairs.
+    ``theta - perm(y).theta``, zero only for theta constant on all 21 pairs.
     Hence rank 7 - 1 = 6, and kernel[i] is the direction of parameter i:
     ``family_member(r) = family_member(0) + sum r_i kernel[i]``.
     """

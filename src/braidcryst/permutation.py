@@ -32,15 +32,14 @@ def parse_int(text: str) -> int:
 class Record:
     """Base of the immutable value classes.
 
-    A subclass names its fields in ``_fields``.  They are bound positionally
-    or by keyword, and ``repr`` and pickling go by them in that order; no
-    attribute can be set or deleted after construction.  Equality (same
-    class) and hashing go by the storage: the attributes in the subclass's
-    own ``__slots__``, or its fields when it declares none.  That needs one
-    invariant, that equal values have equal storage.  A subclass that
-    validates its fields writes its own ``__init__`` and binds them with
-    ``object.__setattr__``; one that stores another encoding names
-    properties in ``_fields`` that decode it.
+    A subclass keeps nothing but its storage, declared in ``__slots__``, and
+    names its fields in ``_fields``.  The fields are bound positionally or by
+    keyword, and ``repr`` and pickling go by them in that order; no attribute
+    can be set or deleted after construction.  Equality (same class) and
+    hashing go by the storage, which needs one invariant: equal values have
+    equal storage.  A subclass that validates its fields writes its own
+    ``__init__`` and binds them with ``object.__setattr__``; one that stores
+    another encoding names properties in ``_fields`` that decode it.
     """
 
     __slots__ = ()
@@ -48,7 +47,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._key = operator.attrgetter(*(cls.__dict__.get("__slots__") or cls._fields))
+        cls._key = operator.attrgetter(*cls.__slots__)
 
     def __init__(self, *args, **kwargs) -> None:
         names = self._fields
@@ -124,6 +123,8 @@ class Permutation(Record):
         images = list(range(1, n + 1))
         seen: set[int] = set()
         for cycle in cycles:
+            if not cycle:
+                raise ValueError("empty cycle")
             for a in cycle:
                 if not 1 <= a <= n:
                     raise ValueError(f"point {a} outside 1..{n}")

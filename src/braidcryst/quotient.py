@@ -278,15 +278,13 @@ def _theta_walk(
     sources: Sequence[QuotientElement], targets: Sequence[QuotientElement]
 ) -> PairVector | None:
     """A vector ``theta`` with ``A^theta s A^-theta == t`` for each source
-    ``s`` and its target ``t``, or ``None`` when there is none.
+    ``s`` and its target ``t`` (one permutation), or ``None`` if none exists.
 
     Conjugating by ``A^theta`` adds ``theta[P] - theta[perm(s)(P)]`` to each
     coefficient, so ``theta`` is walked breadth first over each orbit of the
     source permutations on pairs, from 0 at the orbit's least pair; a pair
     reached twice with different values admits no solution.
     """
-    if any(s.perm != t.perm for s, t in zip(sources, targets)):
-        return None
     moves = [(pair_images(s.perm), (t.vec - s.vec).coeffs) for s, t in zip(sources, targets)]
     theta: list = [None] * len(moves[0][1])
     for start in range(len(theta)):

@@ -19,7 +19,6 @@ deciding a preimage loads neither of them.
 from __future__ import annotations
 
 import random
-from functools import cached_property
 from typing import Sequence
 
 from .braidword import BraidWord, PairVector, VerificationError, pair_images, pair_offsets, pairs
@@ -57,10 +56,10 @@ def holonomy_det(p: Permutation) -> int:
 
 
 class HolonomySubgroup(Record):
-    """A subgroup of S_n given by generators.  Its order comes from a
-    stabilizer chain, not kept; ``elements`` lists it when small enough."""
+    """A subgroup of S_n kept as its generators alone: each read of
+    ``order`` builds a stabilizer chain; ``elements`` lists small groups."""
 
-    _fields = ("n", "generators")
+    __slots__ = _fields = ("n", "generators")
     n: int
     generators: tuple[Permutation, ...]
 
@@ -80,22 +79,22 @@ class HolonomySubgroup(Record):
     def _check_listable(self) -> None:
         """Raise ``ValueError`` if the group has more than ``CLOSURE_LIMIT``
         elements, which holds back every walk over all of them."""
-        if self.order > CLOSURE_LIMIT:
+        if (order := self.order) > CLOSURE_LIMIT:
             raise ValueError(
-                f"the group has {self.order} elements, more than {CLOSURE_LIMIT}; "
+                f"the group has {order} elements, more than {CLOSURE_LIMIT}; "
                 "refusing to list them"
             )
 
-    @cached_property
+    @property
     def elements(self) -> tuple[Permutation, ...]:
         self._check_listable()
         found = closure(Permutation.identity(self.n), self.generators)
         return tuple(sorted(found, key=lambda p: p.images))
 
-    @cached_property
+    @property
     def order(self) -> int:
-        """The product of the transversal sizes of a stabilizer chain; only
-        the number is kept."""
+        """The product of the transversal sizes of a stabilizer chain, built
+        anew on each read."""
         return StabilizerChain(self.n, self.generators).order()
 
 

@@ -140,6 +140,19 @@ def test_full_twist_word():
         assert linking_vector(w) == PairVector(n, tuple(1 for _ in pairs(n)))
 
 
+def test_crossing_counts_allocates_the_pair_list_first(monkeypatch):
+    # a strand count too large for the pair list fails there at once,
+    # before the offsets and the strand order are built
+    import braidcryst.braidword as braidword
+
+    def refuse(n):
+        raise AssertionError("pair_offsets ran before the pair list")
+
+    monkeypatch.setattr(braidword, "pair_offsets", refuse)
+    with pytest.raises(MemoryError):
+        braidword.crossing_counts(BraidWord(10**8, (1,)))
+
+
 def test_pair_vector_arithmetic():
     v = PairVector.from_pairs(4, {(1, 2): 2, (3, 4): -1})
     w = PairVector.basis(4, 1, 2)

@@ -9,6 +9,7 @@ import pytest
 
 import braidcryst
 import braidcryst.cli
+from braidcryst.permutation import Record
 
 # every module that defines a public name, so a new module cannot skip the
 # checks below
@@ -98,6 +99,13 @@ def test_only_record_defines_value_semantics():
         f"{cls.__name__}.{name}" for cls in classes if cls.__name__ != "Record"
         for name in redefined & vars(cls).keys()
     ) == []
+    # a value keeps its storage and nothing else: every Record declares its
+    # own __slots__ (so it has no instance __dict__), and no module caches
+    # state on an instance
+    assert sorted(
+        cls.__name__ for cls in classes if issubclass(cls, Record) and "__slots__" not in vars(cls)
+    ) == []
+    assert [path.name for path in PACKAGE_PATHS if "cached_property" in _code_references(path)] == []
 
 
 def test_package_has_no_unused_private_definition():
@@ -164,6 +172,28 @@ def test_every_export_has_a_caller_or_reproduces_the_paper():
     assert sorted(unused - PAPER_ONLY_EXPORTS) == []
     # an allow-list entry that gains a caller leaves the list
     assert sorted(PAPER_ONLY_EXPORTS - unused) == []
+
+
+def test_every_public_module_name_is_exported_or_read():
+    # a public module-level name that is not exported must be read by code,
+    # as an export must: a constant only the tests read belongs in the tests
+    read = _code_read()
+    exported = {name for names in braidcryst.EXPORTS.values() for name in names}
+    unread = []
+    for path in PACKAGE_PATHS:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{path.stem}.{name}" for name in names
+                if not name.startswith("_") and name not in exported and name not in read
+            ]
+    assert sorted(unread) == []
 
 
 def test_every_public_member_has_a_reader():

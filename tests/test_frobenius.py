@@ -7,8 +7,6 @@ import pytest
 
 from braidcryst.braidword import BraidWord, PairVector, pair_images, pair_index, pairs
 from braidcryst.frobenius import (
-    ALPHA,
-    BETA,
     NotASolution,
     NotFrobenius,
     StandardizationResult,
@@ -27,7 +25,7 @@ from braidcryst.frobenius import (
     standardize_frobenius,
     subgroup_closure,
 )
-from braidcryst.permutation import closure
+from braidcryst.permutation import Permutation, closure
 from braidcryst.quotient import (
     QuotientElement,
     basis_orbits,
@@ -44,6 +42,10 @@ from braidcryst.quotient import (
 from braidcryst.torsion import BlockSpec, torsion_element
 from braidcryst.zlinalg import mat_vec, row_lattice_hnf, solve_integer
 from test_zlinalg import run_python
+
+# the permutations of the two seed words, x and y
+BETA = Permutation.from_text(7, "(1,2,3)(4,5,6)")
+ALPHA = Permutation.from_text(7, "(1,3,4,2,5,6,7)")
 
 
 DEFECT_PLUS = [(1, 2), (1, 6), (1, 7), (4, 7)]
@@ -346,7 +348,7 @@ def test_rotation_match_fits_every_relabeling_of_the_reference_permutations():
     # distinct, and the least-permutation search, which tries the 7 images of
     # point 1 in turn (the rotations of the cycle of z), carries each one
     # back onto (BETA, ALPHA) itself, by the one permutation that can
-    from braidcryst.permutation import Permutation, conjugating_permutation
+    from braidcryst.permutation import conjugating_permutation
 
     pairs_seen = set()
     for images in itertools.permutations(range(1, 8)):
@@ -508,7 +510,6 @@ def test_each_conjugation_is_checked_once(monkeypatch):
 
 
 def test_each_centralizer_branch_is_reachable_deterministically():
-    from braidcryst.permutation import Permutation
     from braidcryst.quotient import canonical_lift
 
     w = build_frobenius()

@@ -56,6 +56,8 @@ def test_from_text_rejects_garbage():
         Permutation.from_text(3, "(1,4)")
     with pytest.raises(ValueError):
         Permutation.from_text(3, "(1,1)")
+    with pytest.raises(ValueError, match="empty cycle"):
+        Permutation.from_cycles(3, [()])
 
 
 def test_text_integers_are_ascii_digits():

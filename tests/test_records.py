@@ -66,11 +66,11 @@ def test_value_class_behaviour(cls, fields, text, changed, invalid):
     assert cls(*fields.values()) == value
     assert tuple(getattr(value, name) for name in fields) == tuple(fields.values())
 
-    # equality and hashing go by the storage: the class's own slots, or its
-    # fields when it declares none, one slot hashing as itself
+    # equality and hashing go by the storage, the class's own slots, one
+    # slot hashing as itself
     twin = cls(**fields)
     assert twin == value and not twin != value
-    storage = tuple(getattr(value, name) for name in vars(cls).get("__slots__") or fields)
+    storage = tuple(getattr(value, name) for name in vars(cls)["__slots__"])
     assert hash(twin) == hash(value) == hash(storage if len(storage) > 1 else storage[0])
     other = cls(**{**fields, **changed})
     assert other != value
@@ -98,7 +98,8 @@ def test_value_class_behaviour(cls, fields, text, changed, invalid):
 
 
 @pytest.mark.parametrize(
-    "cls", [BlockSpec, OrbitTable, StandardizationResult, FrobeniusWitness, SolutionFamily],
+    "cls",
+    [BlockSpec, OrbitTable, StandardizationResult, FrobeniusWitness, SolutionFamily, HolonomySubgroup],
     ids=lambda cls: cls.__name__,
 )
 def test_value_class_has_no_instance_dict(cls):
