@@ -34,7 +34,13 @@ def pairs(n: int) -> tuple[tuple[int, int], ...]:
     Built once per process for each of the last 64 degrees; callers share
     the tuple and its pairs.
     """
-    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    # the pair-sized list first, so a huge n fails fast with MemoryError
+    basis = [None] * (n * (n - 1) // 2)
+    start = 0
+    for i in range(1, n):
+        basis[start:start + n - i] = [(i, j) for j in range(i + 1, n + 1)]
+        start += n - i
+    return tuple(basis)
 
 
 @lru_cache(maxsize=64)

@@ -215,12 +215,8 @@ def _cmd_count_classes(args) -> None:
 
 def _cmd_holonomy(args) -> None:
     p = bc.Permutation.from_text(_need_n(args), args.permutation)
-    M = bc.holonomy_matrix(p)
-    _emit(
-        args,
-        {"matrix": M, "det": bc.holonomy_det(p)},
-        f"{bc.zlinalg.format_matrix(M)}\ndet: {bc.holonomy_det(p)}",
-    )
+    M, det = bc.holonomy_matrix(p), bc.holonomy_det(p)
+    _emit(args, {"matrix": M, "det": det}, f"{bc.zlinalg.format_matrix(M)}\ndet: {det}")
 
 
 def _cmd_bieberbach(args) -> None:
@@ -268,9 +264,9 @@ def _parse_r(text: str) -> tuple[int, int, int, int, int, int]:
 
 
 def _cmd_frobenius_verify(args) -> None:
-    text = args.offset_json
+    offset = args.offset_json
     witness = bc.build_frobenius(
-        bc.PairVector.from_json(bc.frobenius.N_STRANDS, _json(text)) if text else None
+        bc.PairVector.from_json(bc.frobenius.N_STRANDS, _json(offset)) if offset else None
     )
     closure = bc.subgroup_closure(witness.x, witness.v)
     payload = witness.to_json()
@@ -320,93 +316,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=_bounded_int(), default=0, help="seed for sampling commands (default 0)"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("nf", help="normal form of a braid word")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_nf)
-
-    p = sub.add_parser("mul", help="product of two elements")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_mul)
-
-    p = sub.add_parser("inv", help="inverse of an element")
-    p.add_argument("element")
-    p.set_defaults(func=_cmd_inv)
-
-    p = sub.add_parser("pow", help="integer power of an element")
-    p.add_argument("element")
-    p.add_argument("exponent", type=_bounded_int())
-    p.set_defaults(func=_cmd_pow)
-
-    p = sub.add_parser("order", help="order of an element (or 'infinite')")
-    p.add_argument("element")
-    p.set_defaults(func=_cmd_order)
-
-    p = sub.add_parser("delta", help="block torsion element for a BlockSpec")
-    p.add_argument("--blocks", required=True, help='e.g. "3,3" or "7"')
-    p.add_argument(
-        "--emit-word", action="store_true", help="print the defining word instead"
-    )
-    p.set_defaults(func=_cmd_delta)
-
-    p = sub.add_parser("alpha", help="positive block cycle element")
-    p.add_argument("--r", type=_bounded_int(), default=0, help="block offset (default 0)")
-    p.add_argument("--k", type=_bounded_int(), required=True, help="block length")
-    p.set_defaults(func=_cmd_alpha)
-
-    p = sub.add_parser("orbits", help="pair-basis orbit table of an element")
-    p.add_argument("element", nargs="?")
-    p.add_argument("--blocks", help="use the closed-form table for this BlockSpec")
-    p.set_defaults(func=_cmd_orbits)
-
-    p = sub.add_parser("conjugate-test", help="decide conjugacy, with witness")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_conjugate_test)
-
-    p = sub.add_parser("conjugator", help="conjugator onto the standard block element")
-    p.add_argument("element")
-    p.set_defaults(func=_cmd_conjugator)
-
-    p = sub.add_parser("torsion-witness", help="torsion witness for a permutation")
-    p.add_argument("permutation", help='cycle notation, e.g. "(1,3,2)"')
-    p.set_defaults(func=_cmd_torsion_witness)
-
-    p = sub.add_parser("count-classes", help="conjugacy classes of order-k elements")
-    p.add_argument("--k", type=_bounded_int(1), required=True)
-    p.set_defaults(func=_cmd_count_classes)
-
-    p = sub.add_parser("holonomy", help="pair-permutation matrix of a permutation")
-    p.add_argument("permutation")
-    p.set_defaults(func=_cmd_holonomy)
-
-    p = sub.add_parser("bieberbach", help="is the preimage of <generators> torsion free?")
-    p.add_argument("generators", nargs="+", help="permutations in cycle notation")
-    p.set_defaults(func=_cmd_bieberbach)
-
-    p = sub.add_parser("b3-catalog", help="three-strand subgroup catalog report")
-    p.set_defaults(func=_cmd_b3_catalog)
-
-    frobenius = sub.add_parser("frobenius", help="order-21 Frobenius subgroup pipeline")
-    steps = frobenius.add_subparsers(dest="subcommand", required=True)
-    p = steps.add_parser("verify", help="certify the pair repaired by an offset")
-    p.add_argument("--offset-json", help="offset vector JSON (default: the reference offset)")
-    p.set_defaults(func=_cmd_frobenius_verify)
-    p = steps.add_parser("family", help="the rank-6 family of repair offsets")
-    p.add_argument("--sample", type=_bounded_int(0, SAMPLE_LIMIT), default=0,
-                   help=f"verify this many family samples (0..{SAMPLE_LIMIT})")
-    p.set_defaults(func=_cmd_frobenius_family)
-    p = steps.add_parser("conjugator", help="pure conjugator onto a family member")
-    p.add_argument("--r", type=_parse_r, required=True,
-                   help="six comma-separated family parameters")
-    p.set_defaults(func=_cmd_frobenius_conjugator)
-
-    p = sub.add_parser("abelian-realization", help="commuting generators per BlockSpec")
-    p.add_argument("--blocks", required=True)
-    p.set_defaults(func=_cmd_abelian_realization)
-
+    # One row per verb: the verb it is a step of (None at the top level), name,
+    # handler (None for a verb with steps), help, and add_argument names with
+    # their options.  Rows are built in order, the order ``-h`` lists them in.
+    verbs = [
+        (None, "nf", _cmd_nf, "normal form of a braid word", {"word": {}}),
+        (None, "mul", _cmd_mul, "product of two elements", {"left": {}, "right": {}}),
+        (None, "inv", _cmd_inv, "inverse of an element", {"element": {}}),
+        (None, "pow", _cmd_pow, "integer power of an element",
+         {"element": {}, "exponent": {"type": _bounded_int()}}),
+        (None, "order", _cmd_order, "order of an element (or 'infinite')", {"element": {}}),
+        (None, "delta", _cmd_delta, "block torsion element for a BlockSpec", {
+            "--blocks": {"required": True, "help": 'e.g. "3,3" or "7"'},
+            "--emit-word": {"action": "store_true", "help": "print the defining word instead"},
+        }),
+        (None, "alpha", _cmd_alpha, "positive block cycle element", {
+            "--r": {"type": _bounded_int(), "default": 0, "help": "block offset (default 0)"},
+            "--k": {"type": _bounded_int(), "required": True, "help": "block length"},
+        }),
+        (None, "orbits", _cmd_orbits, "pair-basis orbit table of an element", {
+            "element": {"nargs": "?"},
+            "--blocks": {"help": "use the closed-form table for this BlockSpec"},
+        }),
+        (None, "conjugate-test", _cmd_conjugate_test, "decide conjugacy, with witness",
+         {"left": {}, "right": {}}),
+        (None, "conjugator", _cmd_conjugator, "conjugator onto the standard block element",
+         {"element": {}}),
+        (None, "torsion-witness", _cmd_torsion_witness, "torsion witness for a permutation",
+         {"permutation": {"help": 'cycle notation, e.g. "(1,3,2)"'}}),
+        (None, "count-classes", _cmd_count_classes, "conjugacy classes of order-k elements",
+         {"--k": {"type": _bounded_int(1), "required": True}}),
+        (None, "holonomy", _cmd_holonomy, "pair-permutation matrix of a permutation",
+         {"permutation": {}}),
+        (None, "bieberbach", _cmd_bieberbach, "is the preimage of <generators> torsion free?",
+         {"generators": {"nargs": "+", "help": "permutations in cycle notation"}}),
+        (None, "b3-catalog", _cmd_b3_catalog, "three-strand subgroup catalog report", {}),
+        (None, "frobenius", None, "order-21 Frobenius subgroup pipeline", {}),
+        ("frobenius", "verify", _cmd_frobenius_verify, "certify the pair repaired by an offset",
+         {"--offset-json": {"help": "offset vector JSON (default: the reference offset)"}}),
+        ("frobenius", "family", _cmd_frobenius_family, "the rank-6 family of repair offsets",
+         {"--sample": {"type": _bounded_int(0, SAMPLE_LIMIT), "default": 0,
+                       "help": f"verify this many family samples (0..{SAMPLE_LIMIT})"}}),
+        ("frobenius", "conjugator", _cmd_frobenius_conjugator,
+         "pure conjugator onto a family member",
+         {"--r": {"type": _parse_r, "required": True,
+                  "help": "six comma-separated family parameters"}}),
+        (None, "abelian-realization", _cmd_abelian_realization,
+         "commuting generators per BlockSpec", {"--blocks": {"required": True}}),
+    ]
+    groups = {None: parser.add_subparsers(dest="command", required=True)}
+    for group, name, func, summary, arguments in verbs:
+        p = groups[group].add_parser(name, help=summary)
+        for argument, options in arguments.items():
+            p.add_argument(argument, **options)
+        if func is None:
+            groups[name] = p.add_subparsers(dest="subcommand", required=True)
+        else:
+            p.set_defaults(func=func)
     return parser
 
 

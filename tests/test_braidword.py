@@ -153,6 +153,19 @@ def test_crossing_counts_allocates_the_pair_list_first(monkeypatch):
         braidword.crossing_counts(BraidWord(10**8, (1,)))
 
 
+def test_pairs_allocates_the_pair_list_first(monkeypatch):
+    # a strand count too large for the pair list fails there at once,
+    # before any pair tuple is built
+    import braidcryst.braidword as braidword
+
+    def refuse(items):
+        raise AssertionError("pairs were built before the pair list")
+
+    monkeypatch.setattr(braidword, "tuple", refuse, raising=False)
+    with pytest.raises(MemoryError):
+        braidword.pairs(10**8)
+
+
 def test_pair_vector_arithmetic():
     v = PairVector.from_pairs(4, {(1, 2): 2, (3, 4): -1})
     w = PairVector.basis(4, 1, 2)

@@ -1,5 +1,6 @@
 """The braidcryst command line front end."""
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import braidcryst
-from braidcryst.cli import main
+from braidcryst.cli import build_parser, main
 from braidcryst.permutation import StabilizerChain
 from braidcryst.quotient import QuotientElement
 from braidcryst.subgroups import HolonomySubgroup
@@ -94,6 +95,29 @@ def _readme_argument(token):
 
 def test_readme_has_command_examples():
     assert len(README_COMMANDS) >= 10
+
+
+def _verbs(parser):
+    """The subcommand parsers of ``parser``, by name."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def test_readme_names_every_verb():
+    # a verb or frobenius subcommand is named in README's CLI section, in
+    # backticks or as the verb of an example command line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.partition("\n## CLI\n")[2].partition("\n## ")[0]
+    examples = [line.split() for line in section.splitlines() if line.startswith("braidcryst ")]
+    verbs = _verbs(build_parser())
+    steps = _verbs(verbs["frobenius"])
+    assert verbs and steps
+    for verb in verbs:
+        assert f"`{verb}`" in section or any(verb in line for line in examples), verb
+    for step in steps:
+        assert f"frobenius {step}" in section, step
 
 
 @pytest.mark.parametrize("line", README_COMMANDS, ids=lambda line: line.split("#")[0].strip())
@@ -1048,3 +1072,19 @@ def test_package_names_are_the_submodules_objects():
     assert {*braidcryst.__all__, *braidcryst.EXPORTS, "cli"} <= set(dir(braidcryst))
     with pytest.raises(AttributeError):
         braidcryst.no_such_name
+
+
+HELP_TEXT = Path(__file__).with_name("cli_help.txt")
+
+
+def test_help_text_is_pinned(monkeypatch):
+    # the whole command-line interface, as ``-h`` prints it at 80 columns
+    # for the top level, every verb and every frobenius subcommand;
+    # argparse's layout can differ between Python versions
+    monkeypatch.setenv("COLUMNS", "80")
+    blocks = []
+    for prefix in [[], *([verb] for verb in SHAPES), *(["frobenius", step] for step in FROBENIUS_SHAPES)]:
+        code, out, err = _call(*prefix, "-h")
+        assert (code, err) == (0, []), prefix
+        blocks.append(f"$ braidcryst {' '.join([*prefix, '-h'])}\n{out}")
+    assert "\n".join(blocks) == HELP_TEXT.read_text()
