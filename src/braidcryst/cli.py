@@ -3,7 +3,8 @@
 Elements are entered either as braid words ("2 -1 5 -4") or as element JSON
 ({"n": ..., "perm": [...], "vec": {"i,j": c, ...}}); arguments starting with
 "{" are treated as JSON.  Output is human-readable text by default and
-stable JSON with --json.
+stable JSON with --json.  Each ``_cmd_*`` handler returns its answer as
+``(payload, text)``, and :func:`main` prints the one --json picks.
 
 Exit codes: 0 success, 1 domain error (reported on stderr), 2 usage error.
 
@@ -110,15 +111,8 @@ def _need_n(args) -> int:
     return args.n
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(text)
-
-
-def _element_out(args, g: bc.QuotientElement) -> None:
-    _emit(args, g.to_json(), str(g))
+def _element_out(g: bc.QuotientElement) -> tuple[dict, str]:
+    return g.to_json(), str(g)
 
 
 def _orbit_text(table) -> str:
@@ -127,42 +121,41 @@ def _orbit_text(table) -> str:
     )
 
 
-def _cmd_nf(args) -> None:
-    _element_out(args, _element(args, args.word))
+def _cmd_nf(args) -> tuple[dict, str]:
+    return _element_out(_element(args, args.word))
 
 
-def _cmd_mul(args) -> None:
-    _element_out(args, _element(args, args.left) * _element(args, args.right))
+def _cmd_mul(args) -> tuple[dict, str]:
+    return _element_out(_element(args, args.left) * _element(args, args.right))
 
 
-def _cmd_inv(args) -> None:
-    _element_out(args, _element(args, args.element).inverse())
+def _cmd_inv(args) -> tuple[dict, str]:
+    return _element_out(_element(args, args.element).inverse())
 
 
-def _cmd_pow(args) -> None:
-    _element_out(args, _element(args, args.element) ** args.exponent)
+def _cmd_pow(args) -> tuple[dict, str]:
+    return _element_out(_element(args, args.element) ** args.exponent)
 
 
-def _cmd_order(args) -> None:
+def _cmd_order(args) -> tuple[dict, str]:
     k = bc.element_order(_element(args, args.element))
-    value = "infinite" if k is bc.INFINITE else int(k)
-    _emit(args, {"order": None if k is bc.INFINITE else int(k)}, str(value))
+    order = None if k is bc.INFINITE else int(k)
+    return {"order": order}, "infinite" if order is None else str(order)
 
 
-def _cmd_delta(args) -> None:
+def _cmd_delta(args) -> tuple[dict, str]:
     spec = bc.BlockSpec.from_text(_need_n(args), args.blocks)
     if args.emit_word:
-        word = bc.torsion_element_word(spec)
-        _emit(args, {"word": str(word)}, str(word))
-    else:
-        _element_out(args, bc.torsion_element(spec))
+        word = str(bc.torsion_element_word(spec))
+        return {"word": word}, word
+    return _element_out(bc.torsion_element(spec))
 
 
-def _cmd_alpha(args) -> None:
-    _element_out(args, bc.block_cycle(args.r, args.k, _need_n(args)))
+def _cmd_alpha(args) -> tuple[dict, str]:
+    return _element_out(bc.block_cycle(args.r, args.k, _need_n(args)))
 
 
-def _cmd_orbits(args) -> None:
+def _cmd_orbits(args) -> tuple[dict, str]:
     if (args.element is None) == (args.blocks is None):
         both = "" if args.blocks is None else ", not both"
         raise UsageError(f"orbits needs an element or --blocks{both}")
@@ -170,10 +163,10 @@ def _cmd_orbits(args) -> None:
         table = bc.closed_form_orbits(bc.BlockSpec.from_text(_need_n(args), args.blocks))
     else:
         table = bc.enumerate_orbits(_element(args, args.element))
-    _emit(args, table.to_json(), _orbit_text(table))
+    return table.to_json(), _orbit_text(table)
 
 
-def _cmd_conjugate_test(args) -> None:
+def _cmd_conjugate_test(args) -> tuple[dict, str]:
     verdict, witness = bc.are_conjugate(
         _element(args, args.left), _element(args, args.right)
     )
@@ -184,42 +177,33 @@ def _cmd_conjugate_test(args) -> None:
     text = {True: "conjugate", False: "not conjugate", None: "unknown"}[verdict]
     if witness is not None:
         text += f"\nwitness: {witness}"
-    _emit(args, payload, text)
+    return payload, text
 
 
-def _cmd_conjugator(args) -> None:
+def _cmd_conjugator(args) -> tuple[dict, str]:
     g = _element(args, args.element)
     c = bc.conjugator_to_standard(g)
     spec = bc.BlockSpec(g.n, tuple(sorted(g.perm.cycle_type())))
-    _emit(
-        args,
-        {"conjugator": c.to_json(), "blocks": str(spec)},
-        f"{c}\nblocks: {spec}",
-    )
+    return {"conjugator": c.to_json(), "blocks": str(spec)}, f"{c}\nblocks: {spec}"
 
 
-def _cmd_torsion_witness(args) -> None:
-    p = bc.Permutation.from_text(_need_n(args), args.permutation)
-    w = bc.torsion_witness(p)
-    _emit(
-        args,
-        {"witness": w.to_json() if w is not None else None},
-        "no witness" if w is None else str(w),
-    )
+def _cmd_torsion_witness(args) -> tuple[dict, str]:
+    w = bc.torsion_witness(bc.Permutation.from_text(_need_n(args), args.permutation))
+    return {"witness": None if w is None else w.to_json()}, "no witness" if w is None else str(w)
 
 
-def _cmd_count_classes(args) -> None:
+def _cmd_count_classes(args) -> tuple[dict, str]:
     count = bc.count_conjugacy_classes(_need_n(args), args.k)
-    _emit(args, {"classes": count}, str(count))
+    return {"classes": count}, str(count)
 
 
-def _cmd_holonomy(args) -> None:
+def _cmd_holonomy(args) -> tuple[dict, str]:
     p = bc.Permutation.from_text(_need_n(args), args.permutation)
     M, det = bc.holonomy_matrix(p), bc.holonomy_det(p)
-    _emit(args, {"matrix": M, "det": det}, f"{bc.zlinalg.format_matrix(M)}\ndet: {det}")
+    return {"matrix": M, "det": det}, f"{bc.zlinalg.format_matrix(M)}\ndet: {det}"
 
 
-def _cmd_bieberbach(args) -> None:
+def _cmd_bieberbach(args) -> tuple[dict, str]:
     H = bc.HolonomySubgroup.from_cycle_texts(_need_n(args), args.generators)
     chain = bc.StabilizerChain(H.n, H.generators)
     g = bc.torsion_certificate(chain)
@@ -229,10 +213,10 @@ def _cmd_bieberbach(args) -> None:
         q = g.perm.order()
         payload["witness"] = {"order": q, "element": g.to_json()}
         text += f"\nwitness of order {q}: {g}"
-    _emit(args, payload, text)
+    return payload, text
 
 
-def _cmd_b3_catalog(args) -> None:
+def _cmd_b3_catalog(args) -> tuple[dict, str]:
     report = bc.three_strand_catalog()
     lines = [
         f"{entry['name']}: holonomy order {entry['holonomy_order']}, "
@@ -240,16 +224,16 @@ def _cmd_b3_catalog(args) -> None:
         f"bieberbach {entry['bieberbach']}"
         for entry in report["subgroups"]
     ]
-    _emit(args, report, "\n".join(lines))
+    return report, "\n".join(lines)
 
 
-def _cmd_abelian_realization(args) -> None:
+def _cmd_abelian_realization(args) -> tuple[dict, str]:
     spec = bc.BlockSpec.from_text(_need_n(args), args.blocks)
     gens = bc.abelian_realization(spec)
     payload = [
         {"element": g.to_json(), "order": int(bc.element_order(g))} for g in gens
     ]
-    _emit(args, {"generators": payload}, "\n".join(str(g) for g in gens))
+    return {"generators": payload}, "\n".join(str(g) for g in gens)
 
 
 def _parse_r(text: str) -> tuple[int, int, int, int, int, int]:
@@ -263,7 +247,7 @@ def _parse_r(text: str) -> tuple[int, int, int, int, int, int]:
     return parts
 
 
-def _cmd_frobenius_verify(args) -> None:
+def _cmd_frobenius_verify(args) -> tuple[dict, str]:
     offset = args.offset_json
     witness = bc.build_frobenius(
         bc.PairVector.from_json(bc.frobenius.N_STRANDS, _json(offset)) if offset else None
@@ -275,10 +259,10 @@ def _cmd_frobenius_verify(args) -> None:
         f"{rec['relation']}: {'ok' if rec['holds'] else 'FAIL'}"
         for rec in witness.certificate
     ) + f"\nsubgroup order: {len(closure)}"
-    _emit(args, payload, text)
+    return payload, text
 
 
-def _cmd_frobenius_family(args) -> None:
+def _cmd_frobenius_family(args) -> tuple[dict, str]:
     family = bc.solve_family()
     payload = {
         "rank": family.rank,
@@ -294,15 +278,13 @@ def _cmd_frobenius_family(args) -> None:
             bc.build_frobenius(N)
             samples.append({"r": list(r), "offset": N.to_json()})
         payload["samples"] = samples
-    text = f"rank {family.rank}, particular {family.particular}"
-    _emit(args, payload, text)
+    return payload, f"rank {family.rank}, particular {family.particular}"
 
 
-def _cmd_frobenius_conjugator(args) -> None:
+def _cmd_frobenius_conjugator(args) -> tuple[dict, str]:
     N = bc.family_member(args.r)
     theta = bc.conjugator_between(N)
-    payload = {"offset": N.to_json(), "theta": theta.to_json()}
-    _emit(args, payload, f"offset: {N}\ntheta: {theta}")
+    return {"offset": N.to_json(), "theta": theta.to_json()}, f"offset: {N}\ntheta: {theta}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        payload, text = args.func(args)
+        print(json.dumps(payload) if args.json else text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe; keep the flush at exit from failing again

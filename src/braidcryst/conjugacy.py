@@ -68,10 +68,17 @@ def count_conjugacy_classes(n: int, k: int) -> int:
     Only odd divisors of ``k`` can be blocks, so the multisets are counted by
     a knapsack over (sum, lcm) with those divisors as items, not one by one;
     a ``ValueError`` refuses ``n`` times their count past ``CLASS_COUNT_LIMIT``.
+    A power of two has none.  Past ``min(n, k) = 2 * CLASS_COUNT_LIMIT`` even
+    one block length puts ``n`` times their count past the limit, so such
+    input is refused before any divisor is looked for.
     """
+    if k & (k - 1) == 0:
+        return int(k == 1)
+    if min(n, k) > 2 * CLASS_COUNT_LIMIT:
+        raise ValueError(f"n={n} and k={k} are both past {2 * CLASS_COUNT_LIMIT}; refusing")
     items = [d for d in range(3, min(n, k) + 1, 2) if k % d == 0]
     if not items:
-        return int(k == 1)
+        return 0
     if n * len(items) > CLASS_COUNT_LIMIT:
         raise ValueError(f"n={n} times {len(items)} block lengths is past {CLASS_COUNT_LIMIT}; refusing")
     ways: list[dict[int, int]] = [{} for _ in range(n + 1)]  # sum -> lcm -> count

@@ -68,10 +68,8 @@ def defect(x: QuotientElement, y: QuotientElement) -> PairVector:
 
 
 def default_offset() -> PairVector:
-    """The reference repair vector N0."""
-    return PairVector.from_pairs(
-        N_STRANDS, {(3, 5): 1, (1, 6): 1, (2, 7): -1, (5, 7): -1}
-    )
+    """The reference repair vector N0, the family member at r = (0, 0, 0, -1, 1, 0)."""
+    return family_member((0, 0, 0, -1, 1, 0))
 
 
 def family_member(r: tuple[int, int, int, int, int, int]) -> PairVector:

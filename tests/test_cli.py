@@ -1,6 +1,7 @@
 """The braidcryst command line front end."""
 
 import argparse
+import ast
 import contextlib
 import importlib
 import io
@@ -261,6 +262,17 @@ def test_count_classes_is_fast_on_many_strands(capsys):
     assert (code, out) == (0, "3041192075")
     code, out, err = run(capsys, "--n", "1000000", "count-classes", "--k", "105")
     assert (code, out) == (1, "") and len(err.splitlines()) == 1
+    # a trial scan for the odd divisors of k up to min(n, k) ran past 10 s
+    # at n = k = 10^12; past 2 * CLASS_COUNT_LIMIT the input is refused
+    # first, and a power of two has no odd divisor to look for
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--n", str(10**12), "count-classes", "--k", str(10**12))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "") and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "refusing" in err
+    start = time.perf_counter()
+    assert run(capsys, "--n", str(10**12), "count-classes", "--k", str(2**40)) == (0, "0", "")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_holonomy_command(capsys):
@@ -1072,6 +1084,18 @@ def test_package_names_are_the_submodules_objects():
     assert {*braidcryst.__all__, *braidcryst.EXPORTS, "cli"} <= set(dir(braidcryst))
     with pytest.raises(AttributeError):
         braidcryst.no_such_name
+
+
+def test_main_is_the_one_print_site():
+    # handlers return (payload, text); only main writes to stdout or stderr
+    tree = ast.parse(Path(braidcryst.cli.__file__).read_text())
+    (main_def,) = [node for node in tree.body if getattr(node, "name", None) == "main"]
+    inside = {id(node) for node in ast.walk(main_def)}
+    prints = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    ]
+    assert prints and [node.lineno for node in prints if id(node) not in inside] == []
 
 
 HELP_TEXT = Path(__file__).with_name("cli_help.txt")
