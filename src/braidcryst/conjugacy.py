@@ -9,6 +9,7 @@ over the pair orbits, which exists because ``H^1(H, Z^N) = 0`` for finite
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .braidword import VerificationError
@@ -61,6 +62,40 @@ def are_conjugate(
     return True, witness
 
 
+def _odd_divisors(k: int, limit: int) -> list[int]:
+    """The odd divisors ``3 <= d <= limit`` of ``k``, ascending.
+
+    ``k`` is reduced once modulo the product of each batch of 64 odd primes
+    up to ``limit``, so each prime is tested on a small remainder however
+    long ``k`` is; each divisor is then built once from the prime powers
+    found, taking primes in ascending order.
+    """
+    sieve = bytearray([1]) * (limit + 1)
+    for q in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[q]:
+            sieve[q * q::2 * q] = bytes(len(range(q * q, limit + 1, 2 * q)))
+    primes = list(itertools.compress(range(3, limit + 1, 2), sieve[3::2]))
+    powers: list[list[int]] = []  # for each prime dividing k, its powers <= limit dividing k
+    for start in range(0, len(primes), 64):
+        batch = primes[start:start + 64]
+        r = k % math.prod(batch)
+        for q in batch:
+            if r % q == 0:
+                qs = [q]
+                while qs[-1] * q <= limit and k % (qs[-1] * q) == 0:
+                    qs.append(qs[-1] * q)
+                powers.append(qs)
+    divisors = [(1, 0)]  # (d, index of the least prime d may still take)
+    for d, first in divisors:
+        for j in range(first, len(powers)):
+            if d * powers[j][0] > limit:
+                break
+            for m in powers[j]:
+                if d * m <= limit:
+                    divisors.append((d * m, j + 1))
+    return sorted(d for d, _ in divisors[1:])
+
+
 def count_conjugacy_classes(n: int, k: int) -> int:
     """Number of conjugacy classes of order-``k`` elements on ``n`` strands:
     multisets of odd block lengths >= 3 with sum <= n and lcm = k.
@@ -76,7 +111,7 @@ def count_conjugacy_classes(n: int, k: int) -> int:
         return int(k == 1)
     if min(n, k) > 2 * CLASS_COUNT_LIMIT:
         raise ValueError(f"n={n} and k={k} are both past {2 * CLASS_COUNT_LIMIT}; refusing")
-    items = [d for d in range(3, min(n, k) + 1, 2) if k % d == 0]
+    items = _odd_divisors(k, min(n, k))
     if not items:
         return 0
     if n * len(items) > CLASS_COUNT_LIMIT:

@@ -22,6 +22,12 @@ sweep.  Ground truth is concatenation of representative words followed by
 
 Conjugation acts on the lattice through pairs:
 ``g A[P] g^-1 = A[Q]`` with ``Q = perm(g)^{-1}(P)`` applied pointwise.
+:func:`conjugate` has its own closed form, one pass with no product: with
+``t = s * p * s^-1``, ``a = s(i)`` and ``b = s(j)``,
+
+    (s, y) * (p, v) * (s, y)^-1 = (t, out),
+    out[i,j] = y[i,j] + v[sort(a,b)] - y[sort(t(i),t(j))]
+               + [p(a) < p(b)] * ([a > b] - [t(i) > t(j)]).
 """
 
 from __future__ import annotations
@@ -217,8 +223,35 @@ def power(g: QuotientElement, m: int) -> QuotientElement:
 
 
 def conjugate(g: QuotientElement, c: QuotientElement) -> QuotientElement:
-    """``c * g * c^-1``."""
-    return mul(mul(c, g), inverse(c))
+    """``c * g * c^-1`` in closed form, one pass over the pairs.
+
+    With ``g = (p, v)``, ``c = (s, y)`` and ``t = s * p * s^-1``, the pair
+    ``P = (i, j)``, ``a = s(i)``, ``b = s(j)`` gets
+
+        v'[P] = y[P] + v[{a,b}] - y[{t(i),t(j)}]
+                + [p(a) < p(b)] * ([a > b] - [t(i) > t(j)]).
+
+    In split coordinates ``u = 2v + f(p)`` (see :func:`orbit_sums`) the
+    product has no cocycle, so ``c g c^-1`` has ``u' = x + u o s - x o t``
+    with ``x = 2y + f(s)`` and ``o`` the pair action; subtracting ``f(t)``
+    and halving leaves the last term.  It is folded into the two gathers:
+    ``[a > b and p(a) < p(b)]`` joins ``v`` and
+    ``[t(i) > t(j) and p(a) < p(b)]`` joins ``y``.
+    """
+    if g.n != c.n:
+        raise ValueError("degree mismatch")
+    t = c.perm * g.perm * c.perm.inverse()
+    s_images, t_images, p = c.perm.images, t.images, (0,) + g.perm.images
+    off, v, y = pair_offsets(g.n), g.vec.coeffs, c.vec.coeffs
+    moved: list[int] = []
+    for i, (a, ti) in enumerate(zip(s_images, t_images)):
+        oa, ot, pa = off[a], off[ti], p[a]
+        moved += [
+            (v[oa + b] if a < b else v[off[b] + a] + (pa < p[b]))
+            - (y[ot + tj] if ti < tj else y[off[tj] + ti] + (pa < p[b]))
+            for b, tj in zip(s_images[i + 1:], t_images[i + 1:])
+        ]
+    return QuotientElement(t, PairVector(g.n, [x + w for x, w in zip(y, moved)]))
 
 
 def element_order(g: QuotientElement) -> int | float:

@@ -273,6 +273,13 @@ def test_count_classes_is_fast_on_many_strands(capsys):
     start = time.perf_counter()
     assert run(capsys, "--n", str(10**12), "count-classes", "--k", str(2**40)) == (0, "0", "")
     assert time.perf_counter() - start < 0.5
+    # a 4001-digit k divided by every odd d <= 2 * 10^6 took 3.3 s; reduced
+    # once per batch of primes, the scan runs on small remainders
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--n", "2000000", "count-classes", "--k", str(10**4000 + 1))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == "error: n=2000000 times 2 block lengths is past 1000000; refusing"
 
 
 def test_holonomy_command(capsys):

@@ -122,11 +122,53 @@ def test_closed_forms_match_word_cocycle_exhaustively():
             QuotientElement(p, PairVector(n, tuple(rng.randint(-3, 3) for _ in pairs(n))))
             for p in perms
         ]
+        word_inverses = [(word_inverse(h, canonical), word_inverse(h, reverse)) for h in elements]
         for g in elements:
             assert inverse(g) == word_inverse(g, canonical) == word_inverse(g, reverse)
-            for h in elements:
+            for h, (h_canonical, h_reverse) in zip(elements, word_inverses):
                 assert mul(g, h) == word_mul(g, h, canonical)
                 assert closed_cocycle(g.perm, h.perm) == word_cocycle(g.perm, h.perm, reverse)
+                # h g h^-1 by concatenation, under each lift
+                hgh = conjugate(g, h)
+                assert hgh == word_mul(word_mul(h, g, canonical), h_canonical, canonical)
+                assert hgh == word_mul(word_mul(h, g, reverse), h_reverse, reverse)
+
+
+def random_element(n, rng, bound):
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    vec = PairVector(n, [rng.randint(-bound, bound) for _ in range(n * (n - 1) // 2)])
+    return QuotientElement(Permutation(tuple(images)), vec)
+
+
+def test_conjugate_matches_two_products_and_an_inverse():
+    # the closed form against c * g * c^-1 built from mul and inverse, with
+    # packed (within +-127) and tuple coefficients, and tuple permutation
+    # storage at n = 300; a pure g, where the formula is one gather, too
+    rng = random.Random(31)
+    for n in (2, 3, 8, 16, 64, 300):
+        for _ in range(40 if n <= 16 else 3):
+            for bound in (3, 127, 10**30):
+                g, c = random_element(n, rng, bound), random_element(n, rng, rng.choice((3, 500)))
+                assert conjugate(g, c) == mul(mul(c, g), inverse(c))
+                assert conjugate(pure(g.vec), c) == mul(mul(c, pure(g.vec)), inverse(c))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        conjugate(QuotientElement.identity(3), QuotientElement.identity(4))
+
+
+def test_conjugate_makes_no_product(monkeypatch):
+    import braidcryst.quotient as quotient
+
+    rng = random.Random(32)
+    cases = [(random_element(n, rng, 200), random_element(n, rng, 200)) for n in (2, 5, 9) for _ in range(5)]
+    expected = [conjugate(g, c) for g, c in cases]
+
+    def refuse(*args):
+        raise AssertionError("conjugate made a product")
+
+    for name in ("mul", "inverse"):
+        monkeypatch.setattr(quotient, name, refuse)
+    assert [quotient.conjugate(g, c) for g, c in cases] == expected
 
 
 def test_normalize_matches_word_route():
