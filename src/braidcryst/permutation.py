@@ -180,18 +180,18 @@ class Permutation(Record):
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its least point, ordered by it."""
+        images = (0, *self._images)
         out: list[tuple[int, ...]] = []
-        seen: set[int] = set()
-        for start in range(1, self.n + 1):
-            if start in seen or self(start) == start:
+        seen = bytearray(len(images))
+        for start in range(1, len(images)):
+            if seen[start] or images[start] == start:
                 continue
             cycle = [start]
-            seen.add(start)
-            a = self(start)
+            a = images[start]
             while a != start:
                 cycle.append(a)
-                seen.add(a)
-                a = self(a)
+                seen[a] = 1
+                a = images[a]
             out.append(tuple(cycle))
         return tuple(out)
 

@@ -17,8 +17,9 @@ where the last term is the 2-cocycle ``normalize(L(p) L(q) L(pq)^-1).vec``:
 it counts the pairs that ``L(p)`` crosses and ``L(q)`` crosses back.  The
 inverse is ``(p^-1, w)`` with ``w[P] = -v[Q] - [p inverts Q]`` for
 ``Q = sort(p^-1(P))``, and :func:`normalize` reads a word's crossings in one
-sweep.  Ground truth is concatenation of representative words followed by
-:func:`normalize`; the tests cross-check the closed forms against it.
+sweep, touching only the pairs it crosses.  Ground truth is concatenation of
+representative words followed by :func:`normalize`; the tests cross-check the
+closed forms against it.
 
 Conjugation acts on the lattice through pairs:
 ``g A[P] g^-1 = A[Q]`` with ``Q = perm(g)^{-1}(P)`` applied pointwise.
@@ -33,13 +34,13 @@ Conjugation acts on the lattice through pairs:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterator, Mapping, Sequence
 
 from .braidword import (
     BraidWord,
     PairVector,
     VerificationError,
-    crossing_counts,
     pair_images,
     pair_offsets,
     pairs,
@@ -153,20 +154,41 @@ def pure(vec: PairVector) -> QuotientElement:
 def normalize(word: BraidWord) -> QuotientElement:
     """Normal form of a word, from its crossings: a pair crosses ``L(p)``
     once if ``p`` inverts it and not at all otherwise, so the pure part
-    counts the remaining crossings twice.
+    counts the remaining crossings twice.  One sweep credits each letter to
+    the pair it crosses, and only those pairs are read and written; the
+    crossed pairs ``p`` inverts must be all of ``p``'s inversions, counted on
+    their own, and every count left even, or ``VerificationError``.
 
     >>> normalize(BraidWord.from_text(3, "-1 2 -1 2 -1 2")).is_identity()
     True
     """
-    order, counts = crossing_counts(word)
+    n = word.n
+    # the pair-sized list first, so a huge n fails fast with MemoryError
+    half = [0] * (n * (n - 1) // 2)
+    off, order, crossed = pair_offsets(n), list(range(1, n + 1)), {}
+    for e in word.letters:
+        k = abs(e)
+        a, b = order[k - 1], order[k]
+        pos = off[a] + b if a < b else off[b] + a
+        crossed[pos] = crossed.get(pos, 0) + (1 if e > 0 else -1)
+        order[k - 1], order[k] = b, a
     p = Permutation(tuple(order)).inverse()
-    images = p.images
-    inverted = [a > b for i, a in enumerate(images) for b in images[i + 1:]]
-    twice = [c - f for c, f in zip(counts, inverted)]
-    half = [c >> 1 for c in twice]
-    if sum(twice) != 2 * sum(half):  # floor halving drops 1 per odd entry
+    basis, images = pairs(n), (0,) + p.images
+    credited = odd = 0
+    for pos, c in crossed.items():
+        i, j = basis[pos]
+        f = images[i] > images[j]
+        half[pos] = (c - f) >> 1
+        credited += f
+        odd |= (c - f) & 1
+    below, inversions = [], 0  # the images right of the current point, sorted
+    for a in reversed(p.images):
+        t = bisect_left(below, a)
+        inversions += t
+        below.insert(t, a)
+    if odd or credited != inversions:  # an inverted pair never crossed has count 0
         raise VerificationError("odd crossing count left after removing the lift")
-    return QuotientElement(p, PairVector(word.n, half))
+    return QuotientElement(p, PairVector(n, half))
 
 
 def mul(g: QuotientElement, h: QuotientElement) -> QuotientElement:
@@ -207,7 +229,7 @@ def power(g: QuotientElement, m: int) -> QuotientElement:
     k = g.perm.order()
     if m > k:
         q, r = divmod(m, k)
-        moved = sum(len(orbit) for orbit, s in orbit_sums(g) if s)
+        moved = sum(size for _, size, s in orbit_sums(g) if s)
         if moved * q.bit_length() > POWER_BIT_LIMIT:
             raise ValueError(f"the power has {moved} nonzero coefficients of about {q.bit_length()} "
                              f"bits, past the {POWER_BIT_LIMIT}-bit limit; refusing")
@@ -257,7 +279,7 @@ def conjugate(g: QuotientElement, c: QuotientElement) -> QuotientElement:
 def element_order(g: QuotientElement) -> int | float:
     """Order of ``g``: ``order(perm)`` when every sum of :func:`orbit_sums`
     is 0, infinite from the first nonzero one."""
-    return g.perm.order() if all(s == 0 for _, s in orbit_sums(g)) else INFINITE
+    return INFINITE if any(s for _, _, s in orbit_sums(g)) else g.perm.order()
 
 
 def basis_orbits(g: QuotientElement) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -267,12 +289,14 @@ def basis_orbits(g: QuotientElement) -> tuple[tuple[tuple[int, int], ...], ...]:
     lexicographically least pair; orbits are sorted by their first pair.  Both
     hold because each walk starts at the least pair not yet seen.
     """
-    return tuple(orbit for orbit, _ in orbit_sums(g))
+    trail: list[tuple[int, int]] = []
+    return tuple(tuple(trail[-size:]) for _, size, _ in orbit_sums(g, trail))
 
 
-def orbit_sums(g: QuotientElement) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+def orbit_sums(g: QuotientElement, trail: list | None = None) -> Iterator[tuple[tuple, int, int]]:
     """Each orbit ``O`` of :func:`basis_orbits`, in order and one at a time,
-    with its sum ``s_O = sum over P in O of (2 * vec[P] + [perm inverts P])``.
+    as its least pair, its size and its sum
+    ``s_O = sum over P in O of (2 * vec[P] + [perm inverts P])``.
 
     With ``f(p)[i,j] = [p(i) > p(j)]``, ``f(p) + p.f(q) - f(pq)`` is twice
     the cocycle of :func:`mul`, so ``(p, v) -> (p, 2v + f(p))`` maps the
@@ -282,12 +306,13 @@ def orbit_sums(g: QuotientElement) -> Iterator[tuple[tuple[tuple[int, int], ...]
     each pair of ``O``: ``g`` has finite order exactly when every ``s_O`` is
     0, and a lattice translate ``A^t g`` has ``s_O + 2 * sum over O of t``.
 
-    One lazy pass over pair positions, each pair the shared entry of
-    :func:`braidword.pairs`, with the pair action computed for each visited
-    pair only: a reader that stops early pays for the orbits it read, and only
-    the current orbit's tuple is alive, which keeps garbage collections rare.
+    One lazy pass over pair positions, stepping the two points of each pair
+    it visits, with no pair-action table and no member list: a reader that
+    stops early pays for the orbits it read.  Pairs are the shared entries of
+    :func:`braidword.pairs`; a reader of members passes a list as ``trail``,
+    the walk appends each pair it visits, and ``trail[-size:]`` is the orbit.
 
-    >>> [s for _, s in orbit_sums(normalize(BraidWord.from_text(3, "1 2")))]
+    >>> [s for _, _, s in orbit_sums(normalize(BraidWord.from_text(3, "1 2")))]
     [2]
     """
     basis, off, v = pairs(g.n), pair_offsets(g.n), g.vec.coeffs
@@ -296,15 +321,21 @@ def orbit_sums(g: QuotientElement) -> Iterator[tuple[tuple[tuple[int, int], ...]
     for start in range(len(basis)):
         if seen[start]:
             continue
-        orbit, s, k = [], 0, start
-        while not seen[k]:
+        i, j = least = basis[start]
+        k, size, s = start, 0, 0
+        while True:  # the pair action permutes the pairs, so the walk comes back to start
             seen[k] = 1
-            i, j = P = basis[k]
-            orbit.append(P)
+            if trail is not None:
+                trail.append(basis[k])
+            size += 1
             s += 2 * v[k] + (images[i] > images[j])
-            a, b = back[i], back[j]
-            k = off[a] + b if a < b else off[b] + a
-        yield tuple(orbit), s
+            i, j = back[i], back[j]
+            if i > j:
+                i, j = j, i
+            k = off[i] + j
+            if k == start:
+                break
+        yield least, size, s
 
 
 def _theta_walk(

@@ -168,9 +168,9 @@ def sublattice_is_torsion_free(
             raise ValueError("lattice is not invariant under the coset action")
 
     # one row per orbit; the unknowns are the multipliers of the generators
-    off, rows, rhs = pair_offsets(coset_rep.n), [], []
-    for orbit, s in orbit_sums(coset_rep):
-        rows.append([2 * sum(g[off[i] + j] for (i, j) in orbit) for g in gens])
+    off, rows, rhs, trail = pair_offsets(coset_rep.n), [], [], []
+    for _, size, s in orbit_sums(coset_rep, trail):
+        rows.append([2 * sum(g[off[i] + j] for (i, j) in trail[-size:]) for g in gens])
         rhs.append(-s)
     return solve_integer(rows, rhs) is None
 
@@ -213,8 +213,7 @@ def preimage_abelianization(H: HolonomySubgroup) -> tuple[int, list[int]]:
             orbits += 1
     Phi, off = [[0] * orbits for _ in gens], pair_offsets(n)
     for row, s in zip(Phi, gens):
-        for orbit, total in orbit_sums(QuotientElement(s, PairVector.zero(n))):
-            i, j = orbit[0]
+        for (i, j), _, total in orbit_sums(QuotientElement(s, PairVector.zero(n))):
             row[label[off[i] + j]] += total
     # a set: the Cayley graph repeats most relator rows, and the
     # elimination is cheaper without the copies

@@ -135,11 +135,11 @@ def torsion_witness(p: Permutation) -> PairVector | None:
     m = p.order()
     lift = QuotientElement(p, PairVector.zero(p.n))
     witness: dict[tuple[int, int], int] = {}
-    for orbit, s in orbit_sums(lift):
+    for least, _, s in orbit_sums(lift):
         if s % 2:
             return None
         if s:
-            witness[orbit[0]] = -s // 2
+            witness[least] = -s // 2
     N = PairVector.from_pairs(p.n, witness)
     if not power(mul(pure(N), lift), m).is_identity():
         raise VerificationError(f"witness {N} does not give an element of order {m}")

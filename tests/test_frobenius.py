@@ -70,7 +70,7 @@ def repair_system() -> tuple[list[list[int]], list[int]]:
         rows.append(row)
         rhs.append(c)
     # (A^N y)^7 = 1 reduces to 2 * (N-sum over O) = -s_O on each y-orbit O
-    for orbit, s in orbit_sums(y):
+    for orbit, (_, _, s) in zip(basis_orbits(y), orbit_sums(y)):
         row = [0] * len(alpha)
         for p in orbit:
             row[pair_index(7, *p)] = 1

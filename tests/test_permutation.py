@@ -226,6 +226,39 @@ def test_cycles_canonical_ordering():
         assert rebuilt == p
 
 
+def walked_cycles(images):
+    """Nontrivial cycles of the images tuple, walked with a set: the
+    reference for ``Permutation.cycles``."""
+    seen, out = set(), []
+    for start in range(1, len(images) + 1):
+        if start not in seen and images[start - 1] != start:
+            cycle, a = [], start
+            while a not in seen:
+                seen.add(a)
+                cycle.append(a)
+                a = images[a - 1]
+            out.append(tuple(cycle))
+    return tuple(out)
+
+
+def test_cycle_data_matches_a_walk_over_the_images():
+    rng = random.Random(31)
+    perms = [p for n in range(1, 7) for p in itertools.permutations(range(1, n + 1))]
+    for _ in range(40):  # from 256 points the images are a tuple, not bytes
+        images = list(range(1, 301))
+        rng.shuffle(images)
+        perms.append(tuple(images))
+    for images in perms:
+        p, cycles = Permutation(images), walked_cycles(images)
+        assert p.cycles() == cycles
+        lengths = [len(c) for c in cycles]
+        assert p.order() == math.lcm(1, *lengths)
+        assert p.cycle_type() == tuple(sorted(lengths, reverse=True))
+        assert p.parity() == sum(a > b for a, b in itertools.combinations(images, 2)) % 2
+        assert str(p) == ("".join("(" + ",".join(map(str, c)) + ")" for c in cycles) or "()")
+    assert type(Permutation(perms[-1])._images) is tuple
+
+
 def test_pair_action_is_an_action():
     rng = random.Random(3)
     for _ in range(40):

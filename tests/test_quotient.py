@@ -171,14 +171,82 @@ def test_conjugate_makes_no_product(monkeypatch):
     assert [quotient.conjugate(g, c) for g, c in cases] == expected
 
 
+def long_word(n, rng, length):
+    letters = [k for k in range(-(n - 1), n) if k]
+    return BraidWord(n, tuple(rng.choice(letters) for _ in range(length)))
+
+
 def test_normalize_matches_word_route():
     rng = random.Random(13)
-    for n in range(2, 13):
-        for _ in range(60):
-            w = random_word(n, rng, max_len=4 * n)
-            g = normalize(w)
-            for lift in LIFTS:
-                assert g == word_normalize(w, lift)
+    words = [random_word(n, rng, max_len=4 * n) for n in range(2, 13) for _ in range(60)]
+    words += [long_word(n, rng, 8 * n) for n in (16, 32, 64) for _ in range(4)]
+    for w in words:
+        g = normalize(w)
+        for lift in LIFTS:
+            assert g == word_normalize(w, lift)
+
+
+def crossed_pairs(word):
+    """The pair positions a word crosses at least once."""
+    off, order, crossed = pair_offsets(word.n), list(range(1, word.n + 1)), set()
+    for e in word.letters:
+        k = abs(e)
+        a, b = sorted(order[k - 1:k + 1])
+        crossed.add(off[a] + b)
+        order[k - 1], order[k] = order[k], order[k - 1]
+    return crossed
+
+
+def test_normalize_reads_only_the_crossed_pairs(monkeypatch):
+    import braidcryst.quotient as quotient
+
+    rng = random.Random(37)
+    n = 64
+    words = [long_word(n, rng, 2 * n) for _ in range(5)]
+    expect = [normalize(w) for w in words]
+    handed = []
+
+    def counting_pairs(n):
+        handed.append(CountingPairs(pairs(n)))
+        return handed[-1]
+
+    monkeypatch.setattr(quotient, "pairs", counting_pairs)
+    for w, g in zip(words, expect):
+        assert normalize(w) == g
+        assert 0 < handed[-1].reads <= len(crossed_pairs(w)) <= 2 * n < len(pairs(n))
+
+
+PLANTED_INVERSE = """
+import sys
+from braidcryst.braidword import BraidWord, VerificationError
+from braidcryst.permutation import Permutation
+import braidcryst.quotient as quotient
+
+
+class Planted(Permutation):
+    \"\"\"Its inverse also applies the transposition named on the command line.\"\"\"
+
+    def inverse(self):
+        return Permutation.inverse(self) * Permutation.from_text(self.n, sys.argv[2])
+
+
+quotient.Permutation = Planted
+print(sys.flags.optimize)
+try:
+    quotient.normalize(BraidWord.from_text(4, sys.argv[1]))
+except VerificationError as error:
+    print(error.args[0] == "odd crossing count left after removing the lift")
+"""
+
+
+@pytest.mark.parametrize("word, swap", [("1", "(3,4)"), ("1 1", "(1,2)")],
+                         ids=["inverted-never-crossed", "crossed-even-inverted"])
+def test_normalize_refuses_a_planted_inversion(word, swap):
+    # "1" crosses {1,2}, which p inverts, so every crossed pair is even and
+    # only the count of p's inversions sees the planted {3,4}; "1 1" crosses
+    # {1,2} twice, so the planted (1,2) leaves it odd.  Checked under -O too.
+    assert run_python("-c", PLANTED_INVERSE, word, swap) == ["0", "True"]
+    assert run_python("-O", "-c", PLANTED_INVERSE, word, swap) == ["1", "True"]
 
 
 def test_large_powers_against_word_oracle():
@@ -381,9 +449,9 @@ def test_orbit_sums_give_the_power_at_the_permutation_order():
         k = g.perm.order()
         gk = power(g, k)
         assert gk.is_pure()
-        sums = tuple(orbit_sums(g))
-        assert tuple(orbit for orbit, _ in sums) == basis_orbits(g)
-        for orbit, s in sums:
+        orbits, sums = basis_orbits(g), tuple(orbit_sums(g))
+        assert [(orbit[0], len(orbit)) for orbit in orbits] == [(P, size) for P, size, _ in sums]
+        for orbit, (_, _, s) in zip(orbits, sums):
             assert all(2 * gk.vec.coefficient(*P) == k // len(orbit) * s for P in orbit)
         is_finite = element_order(g) is not INFINITE
         assert is_finite == gk.vec.is_zero()
@@ -483,10 +551,10 @@ def test_index_walk_matches_the_pair_action_walk():
         assert orbits == expect
         sums = list(orbit_sums(g))
         assert sums == [
-            (orbit, sum(2 * v.coefficient(i, j) + (p(i) > p(j)) for i, j in orbit))
+            (orbit[0], len(orbit), sum(2 * v.coefficient(i, j) + (p(i) > p(j)) for i, j in orbit))
             for orbit in expect
         ]
-        for orbit in orbits + tuple(orbit for orbit, _ in sums):
+        for orbit in orbits + (tuple(P for P, _, _ in sums),):
             assert all(P is basis[pair_index(g.n, *P)] for P in orbit)
 
 
@@ -516,14 +584,18 @@ def test_orbit_sums_reads_only_the_orbits_it_yields(monkeypatch):
     rng.shuffle(images)
     p = Permutation(tuple(images))
     g = QuotientElement(p, PairVector(n, [rng.randint(-3, 3) for _ in range(n * (n - 1) // 2)]))
-    first, _ = next(orbit_sums(g))
-    assert handed[-1].reads == len(first) < len(pairs(n))
-    assert sum(len(orbit) for orbit, _ in orbit_sums(g)) == handed[-1].reads == len(pairs(n))
+    # one entry, the least pair, per orbit yielded; members are stepped
+    first, size, _ = next(orbit_sums(g))
+    assert handed[-1].reads == 1 and 1 < size < len(pairs(n))
+    sums = list(orbit_sums(g))
+    assert handed[-1].reads == len(sums) < sum(size for _, size, _ in sums) == len(pairs(n))
     # A[1,2] adds 2 to the sum of the first orbit, and f(p) adds no negative
     # term, so the first sum already decides that the order is infinite
     infinite = QuotientElement(p, PairVector.basis(n, 1, 2))
     assert element_order(infinite) is INFINITE
-    assert handed[-1].reads == len(first)
+    assert handed[-1].reads == 1
+    # listing members reads each pair once more
+    assert sum(map(len, basis_orbits(g))) == handed[-1].reads - len(sums) == len(pairs(n))
     # the pair action is computed per visited pair, never as a whole table
     def no_table(p):
         raise AssertionError("orbit_sums built the whole pair action")
@@ -532,6 +604,45 @@ def test_orbit_sums_reads_only_the_orbits_it_yields(monkeypatch):
     assert next(orbit_sums(g))[0] == first
     assert element_order(infinite) is INFINITE
     assert sum(map(len, basis_orbits(g))) == len(pairs(n))
+
+
+def order_shapes(n, rng):
+    """The three shapes of element the group_law benchmark orders: an
+    even-order permutation with a sparse vector, conjugated block torsion,
+    and that torsion times ``A[n-1,n]`` (two of its fixed points)."""
+    from braidcryst.torsion import BlockSpec, torsion_element
+
+    while True:
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        p = Permutation(tuple(images))
+        if p.order() % 2 == 0:
+            break
+    vec = [0] * (n * (n - 1) // 2)
+    for _ in range(max(2, n // 4)):
+        vec[rng.randrange(len(vec))] = rng.choice((-2, -1, 1, 2))
+    yield QuotientElement(p, PairVector(n, vec))
+    blocks, budget = [], n - 2
+    while not blocks or (budget >= 3 and rng.random() < 0.6):
+        blocks.append(rng.choice([k for k in (3, 5, 7) if k <= budget]))
+        budget -= blocks[-1]
+    core = torsion_element(BlockSpec(n, tuple(sorted(blocks))))
+    c = normalize(long_word(n, rng, n))
+    yield conjugate(core, c)
+    yield conjugate(mul(basis_element(n, n - 1, n), core), c)
+
+
+def test_element_order_matches_the_power_on_the_benchmark_shapes():
+    rng = random.Random(41)
+    orders = []
+    for n in (8, 16, 32, 64):
+        for _ in range(3):
+            for g in order_shapes(n, rng):
+                k = element_order(g)
+                assert (k is not INFINITE) == power(g, g.perm.order()).is_identity()
+                assert k in (INFINITE, g.perm.order())
+                orders.append(k)
+    assert orders.count(INFINITE) == 2 * len(orders) // 3
 
 
 def test_element_order_makes_no_product(monkeypatch):
